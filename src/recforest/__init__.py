@@ -8,7 +8,6 @@ that rating into landmark and visibility predictions.
 
 from .classforest import (
     ClassForest,
-    ClassLeaf,
     derive_labels,
     entropy,
     predict_posterior_rating,
@@ -76,7 +75,6 @@ from .synth import (
 
 __all__ = [
     "ClassForest",
-    "ClassLeaf",
     "CompareConfig",
     "EvalReport",
     "GenConfig",

@@ -1,54 +1,26 @@
 """Classification-forest baseline: entropy-gain trees over the same features.
 
-The baseline predicts which pool model a sample belongs to.  Two inference
-modes consume the trained forest: hard majority vote across trees (the
-selected model's response is returned verbatim) and posterior-as-rating,
-where count-weighted leaf posteriors are blended exactly like a
-recommendation forest's ratings.
+The baseline predicts which pool model a sample belongs to.  Its trees hold
+the same `Split` and `Leaf` nodes as a recommendation forest; a leaf's
+`rating` is its class posterior.  Two inference modes consume the trained
+forest: hard majority vote across trees (the selected model's response is
+returned verbatim) and posterior-as-rating, which blends count-weighted
+leaf posteriors exactly like a recommendation forest's ratings.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelProtocol, Prediction, ResponseDataset, rating_vector
+from .data import ModelProtocol, Prediction, ResponseDataset
 from .forest import (
     RecTrainConfig,
-    _grow_tree,
+    _check_inputs,
+    _predict_one,
     _route_payloads,
     _run_tree_tasks,
-    aggregate_rating,
-    blend_prediction,
-    bootstrap_indices,
+    predict_many,
 )
-from .seeds import derive_seed
-
-
-def _check_dims(proto: ModelProtocol, responses, features):
-    M = features.shape[0]
-    if responses.shape != (M, proto.model_count, proto.landmark_count, 2):
-        raise ValueError("responses shape does not match the forest protocol")
-    if features.shape != (M, proto.feature_count):
-        raise ValueError("features shape does not match the forest protocol")
-
-
-@dataclass(eq=False)
-class ClassLeaf:
-    posterior: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        self.posterior = rating_vector(self.posterior)
-        if self.sample_count < 1:
-            raise ValueError("leaf sample_count must be >= 1")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassLeaf)
-            and self.sample_count == other.sample_count
-            and np.array_equal(self.posterior, other.posterior)
-        )
 
 
 @dataclass
@@ -140,20 +112,6 @@ class _ClassCriterion:
         totals = np.where(feasible, self._total_entropy(counts, n_safe), np.inf)
         return payloads, totals, feasible
 
-    def make_leaf(self, payload, sample_count):
-        return ClassLeaf(posterior=payload, sample_count=sample_count)
-
-
-def _class_tree_task(dataset_and_labels, config, tree_index):
-    dataset, labels = dataset_and_labels
-    rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", tree_index))
-    idx = bootstrap_indices(config, dataset.sample_count, rng)
-    start = time.perf_counter()
-    criterion = _ClassCriterion(labels, dataset.model_count)
-    root, counters = _grow_tree(criterion, dataset.features, idx, config, rng)
-    elapsed = time.perf_counter() - start
-    return root, counters["depth"], counters["nodes"], elapsed
-
 
 def train_class_forest(dataset: ResponseDataset, labels,
                        config: RecTrainConfig, workers: int = 1) -> ClassForest:
@@ -168,17 +126,14 @@ def train_class_forest(dataset: ResponseDataset, labels,
         raise ValueError("labels length does not match the dataset")
     if labels.size and (labels.min() < 0 or labels.max() >= dataset.model_count):
         raise ValueError("labels out of range for the model pool")
-    trees = _run_tree_tasks(_class_tree_task, (dataset, labels), config, workers)
+    criterion = _ClassCriterion(labels, dataset.model_count)
+    trees = _run_tree_tasks(criterion, dataset.features, config, workers)
     return ClassForest(trees=trees, protocol=dataset.protocol, gamma=0.5)
 
 
 # ---------------------------------------------------------------------------
 # Inference modes
 # ---------------------------------------------------------------------------
-
-def _posterior(leaf):
-    return leaf.posterior
-
 
 def predict_top_vote_many(forest: ClassForest, responses, features):
     """Majority vote over trees; the winning model answers alone.
@@ -188,15 +143,13 @@ def predict_top_vote_many(forest: ClassForest, responses, features):
     with confidence equal to its own detection scores on its protocol's
     visible landmarks and 0 elsewhere.
     """
-    responses = np.asarray(responses, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
+    responses, features = _check_inputs(forest, responses, features)
     proto = forest.protocol
-    _check_dims(proto, responses, features)
     M = features.shape[0]
     C = proto.model_count
     votes = np.zeros((M, C), dtype=np.int64)
     for root in forest.trees:
-        payloads, _ = _route_payloads(root, features, _posterior, C)
+        payloads, _ = _route_payloads(root, features, C)
         tree_vote = np.argmax(payloads, axis=1)
         votes[np.arange(M), tree_vote] += 1
     winner = np.argmax(votes, axis=1)  # ties to the smallest index
@@ -208,32 +161,13 @@ def predict_top_vote_many(forest: ClassForest, responses, features):
 
 
 def predict_top_vote(forest: ClassForest, responses, features) -> Prediction:
-    landmarks, confidence, flags = predict_top_vote_many(
-        forest, np.asarray(responses)[None], np.asarray(features)[None]
-    )
-    return Prediction(
-        landmarks=landmarks[0],
-        visibility_confidence=confidence[0],
-        visibility_flag=flags[0],
-    )
+    return _predict_one(predict_top_vote_many, forest, responses, features)
 
 
 def predict_posterior_rating_many(forest: ClassForest, responses, features):
     """Blend with the count-weighted average posterior as the rating."""
-    responses = np.asarray(responses, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    proto = forest.protocol
-    _check_dims(proto, responses, features)
-    W = aggregate_rating(forest.trees, features, proto.model_count, _posterior)
-    return blend_prediction(proto, responses, features, W, forest.gamma)
+    return predict_many(forest, responses, features)
 
 
 def predict_posterior_rating(forest: ClassForest, responses, features) -> Prediction:
-    landmarks, confidence, flags = predict_posterior_rating_many(
-        forest, np.asarray(responses)[None], np.asarray(features)[None]
-    )
-    return Prediction(
-        landmarks=landmarks[0],
-        visibility_confidence=confidence[0],
-        visibility_flag=flags[0],
-    )
+    return _predict_one(predict_posterior_rating_many, forest, responses, features)

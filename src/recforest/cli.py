@@ -37,7 +37,6 @@ from .forest import (
     train_forest,
 )
 from .metrics import (
-    STRATEGIES,
     CompareConfig,
     curve_lines,
     format_comparison,
@@ -313,20 +312,16 @@ def cmd_eval(args):
 # compare
 # ---------------------------------------------------------------------------
 
-_COMPARE_KEYS = [
-    "strategies",
-    "fold_count",
-    "validation_fraction",
-    "pose_noise_deg",
-    "cluster_centers",
-    "rng_seed",
-    "train",
-]
+_COMPARE_FLAGS = [f.name for f in fields(CompareConfig) if f.name != "train"]
 
 
 def cmd_compare(args):
     workers = _resolve_workers(args.workers)
-    doc = _read_config(args.config, _COMPARE_KEYS, "compare") if args.config else {}
+    doc = (
+        _read_config(args.config, _COMPARE_FLAGS + ["train"], "compare")
+        if args.config
+        else {}
+    )
     train_doc = doc.pop("train", {})
     if not isinstance(train_doc, dict):
         raise ValueError("config key 'train' must be an object")
@@ -335,41 +330,15 @@ def cmd_compare(args):
         raise ValueError("unknown config keys for train: %s" % ", ".join(unknown))
     train_config = _train_config(args, train_doc)
 
+    if args.strategies is not None:
+        args.strategies = tuple(tok.strip() for tok in args.strategies.split(","))
+    if args.cluster_centers is not None:
+        args.cluster_centers = _parse_floats(args.cluster_centers, "--centers")
+
     dataset, meta = _load_data_dir(args.data, need_metadata=True)
     yaw, cluster_id, meta_centers = meta
-    if args.cluster_centers is not None:
-        centers = _parse_floats(args.cluster_centers, "--centers")
-    elif "cluster_centers" in doc:
-        centers = tuple(float(c) for c in doc["cluster_centers"])
-    elif meta_centers is not None:
-        centers = tuple(float(c) for c in meta_centers)
-    else:
-        centers = None
-
-    if args.strategies is not None:
-        strategies = tuple(tok.strip() for tok in args.strategies.split(","))
-    elif "strategies" in doc:
-        strategies = tuple(doc["strategies"])
-    else:
-        strategies = STRATEGIES
-
-    config = CompareConfig(
-        strategies=strategies,
-        fold_count=args.fold_count
-        if args.fold_count is not None
-        else doc.get("fold_count", 5),
-        validation_fraction=args.validation_fraction
-        if args.validation_fraction is not None
-        else doc.get("validation_fraction", 0.2),
-        pose_noise_deg=args.pose_noise_deg
-        if args.pose_noise_deg is not None
-        else doc.get("pose_noise_deg", 25.0),
-        cluster_centers=centers,
-        rng_seed=args.rng_seed
-        if args.rng_seed is not None
-        else doc.get("rng_seed", 0),
-        train=train_config,
-    )
+    base = dict(asdict(CompareConfig()), cluster_centers=meta_centers, train=train_config)
+    config = _merge_dataclass(CompareConfig, base, doc, args, _COMPARE_FLAGS)
     reports = run_comparison(dataset, yaw, cluster_id, config, workers=workers)
     text = format_comparison(reports, args.format)
     sys.stdout.write(text)

@@ -267,6 +267,24 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _is_int(value):
+    """A JSON integer; `true`/`false` parse as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float_array(value, shape, what):
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("%s is not numeric: %s" % (what, exc)) from exc
+    _require(arr.shape == shape, "%s shape mismatch" % what)
+    return arr
+
+
 def load_dataset(path) -> ResponseDataset:
     """Load and validate a dataset file, naming the first violated invariant."""
     try:
@@ -275,13 +293,17 @@ def load_dataset(path) -> ResponseDataset:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("unparseable dataset file: %s" % exc) from exc
     _require(isinstance(doc, dict), "dataset document must be an object")
-    _require(doc.get("formatVersion") == DATASET_FORMAT_VERSION,
+    _require(_is_int(doc.get("formatVersion"))
+             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
-    for key in ("sampleCount", "modelCount", "landmarkCount", "featureCount",
-                "masks", "samples"):
+    counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
+    for key in counts + ("masks", "samples"):
         _require(key in doc, "missing dataset field: %s" % key)
-    M, C, N, F = (int(doc[k]) for k in
-                  ("sampleCount", "modelCount", "landmarkCount", "featureCount"))
+    for key in counts:
+        _require(_is_int(doc[key]) and doc[key] >= 0,
+                 "%s must be a nonnegative integer: %r" % (key, doc[key]))
+    M, C, N, F = (doc[k] for k in counts)
+    _require(isinstance(doc["samples"], list), "samples must be a list")
     masks = np.asarray(doc["masks"])
     _require(masks.shape == (C, N), "masks shape does not match header C, N")
     try:
@@ -302,28 +324,24 @@ def load_dataset(path) -> ResponseDataset:
     normalizer = np.empty(M)
     for m, rec in enumerate(doc["samples"]):
         _require(isinstance(rec, dict), "sample %d is not an object" % m)
-        resp = np.asarray(rec.get("responses"), dtype=np.float64)
-        _require(resp.shape == (C, N, 2),
-                 "sample %d responses shape mismatch" % m)
+        resp = _float_array(rec.get("responses"), (C, N, 2), "sample %d responses" % m)
         _require(bool(np.all(np.isfinite(resp))),
                  "sample %d has a non-finite response" % m)
-        gt = np.asarray(rec.get("groundTruth"), dtype=np.float64)
-        _require(gt.shape == (N, 2), "sample %d ground truth shape mismatch" % m)
+        gt = _float_array(rec.get("groundTruth"), (N, 2), "sample %d ground truth" % m)
         vis_list = rec.get("visibilitySet")
         _require(isinstance(vis_list, list), "sample %d missing visibilitySet" % m)
         for n in vis_list:
-            _require(isinstance(n, int) and 0 <= n < N,
+            _require(_is_int(n) and 0 <= n < N,
                      "sample %d: visibility index out of range: %r" % (m, n))
         vis = np.zeros(N, dtype=bool)
         vis[vis_list] = True
         _require(bool(np.all(np.isfinite(gt[vis]))),
                  "sample %d has non-finite ground truth at a visible landmark" % m)
-        feat = np.asarray(rec.get("features"), dtype=np.float64)
-        _require(feat.shape == (F,), "sample %d features shape mismatch" % m)
+        feat = _float_array(rec.get("features"), (F,), "sample %d features" % m)
         _require(bool(np.all(np.isfinite(feat))),
                  "sample %d has a non-finite feature score" % m)
         norm = rec.get("normalizer")
-        _require(isinstance(norm, (int, float)) and np.isfinite(norm) and norm > 0,
+        _require(_is_number(norm) and np.isfinite(norm) and norm > 0,
                  "sample %d normalizer must be positive: %r" % (m, norm))
         responses[m] = resp
         ground_truth[m] = gt

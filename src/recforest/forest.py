@@ -234,16 +234,24 @@ class _RecCriterion:
     def weight(self, stats):
         return stats[3]
 
+    def _solve(self, G, h):
+        """Ratings for a Gram batch; an unconverged row keeps its best iterate."""
+        W, _, converged = solve_gram_batch(
+            G, h, tolerance=self.tolerance, max_iterations=self.max_iterations,
+        )
+        if not converged.all():
+            logger.warning(
+                "simplex solver did not converge on %d of %d rows; "
+                "using the best iterate", int((~converged).sum()), converged.size,
+            )
+        return W
+
     def fit(self, stats):
         """(payload, total cost) for one node; total = mean cost * weight."""
         G, h, sq, inst, n = stats
         if inst < 1:
             raise ValueError("node has no visible landmark instances")
-        w, _, _ = solve_gram_batch(
-            G[None], h[None],
-            tolerance=self.tolerance, max_iterations=self.max_iterations,
-        )
-        w = w[0]
+        w = self._solve(G[None], h[None])[0]
         total = float(w @ G @ w - 2.0 * (h @ w) + sq)
         return w, total
 
@@ -254,10 +262,7 @@ class _RecCriterion:
         payloads = np.zeros((Q, self.dim))
         totals = np.full(Q, np.inf)
         if feasible.any():
-            W, _, _ = solve_gram_batch(
-                G[feasible], h[feasible],
-                tolerance=self.tolerance, max_iterations=self.max_iterations,
-            )
+            W = self._solve(G[feasible], h[feasible])
             Gw = np.einsum("kij,kj->ki", G[feasible], W)
             totals[feasible] = (
                 np.einsum("ki,ki->k", W, Gw)
@@ -267,12 +272,13 @@ class _RecCriterion:
             payloads[feasible] = W
         return payloads, totals, feasible
 
-    def make_leaf(self, payload, sample_count):
-        return Leaf(rating=payload, sample_count=sample_count)
-
 
 def _grow_tree(criterion, features, idx, config, rng):
     """Grow one tree over the sample multiset `idx`; returns (root, counters).
+
+    Leaves hold the criterion's fitted payload as `Leaf.rating`: a simplex
+    rating for the recommendation criterion, the class posterior for the
+    classification one.
 
     Candidate features are drawn without replacement, thresholds uniformly
     inside each feature's node range; the best candidate wins by gain with
@@ -292,7 +298,7 @@ def _grow_tree(criterion, features, idx, config, rng):
         counters["depth"] = max(counters["depth"], depth)
         payload, total_cost = fitted
         if depth >= config.max_depth:
-            return criterion.make_leaf(payload, idx.size)
+            return Leaf(rating=payload, sample_count=idx.size)
         feats = rng.choice(F, size=n_feats, replace=False)
         node_feats = features[idx][:, feats]
         lo = node_feats.min(axis=0)
@@ -320,7 +326,7 @@ def _grow_tree(criterion, features, idx, config, rng):
             or n_left < config.min_samples_per_leaf
             or n_right < config.min_samples_per_leaf
         ):
-            return criterion.make_leaf(payload, idx.size)
+            return Leaf(rating=payload, sample_count=idx.size)
         f_pos, t_pos = divmod(best, n_thresh)
         params = SplitParams(int(feats[f_pos]), float(taus[f_pos, t_pos]))
         row = lambda s, i: tuple(part[i] for part in s)
@@ -365,28 +371,29 @@ def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
     return root
 
 
-def _rec_tree_task(dataset, config, tree_index):
+def _tree_task(criterion, features, config, tree_index):
     rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", tree_index))
-    idx = bootstrap_indices(config, dataset.sample_count, rng)
+    idx = bootstrap_indices(config, features.shape[0], rng)
     start = time.perf_counter()
-    criterion = _RecCriterion(dataset)
-    root, counters = _grow_tree(criterion, dataset.features, idx, config, rng)
+    root, counters = _grow_tree(criterion, features, idx, config, rng)
     elapsed = time.perf_counter() - start
     return root, counters["depth"], counters["nodes"], elapsed
 
 
-def _run_tree_tasks(task, dataset, config, workers):
-    """Run per-tree training tasks, in order, optionally across processes.
+def _run_tree_tasks(criterion, features, config, workers):
+    """Grow the forest's trees, in order, optionally across processes.
 
-    The reduction is ordered by tree index, so results are identical for any
-    worker count.
+    The criterion is built once per forest; a pool task pickles only it,
+    the features and the config.  The reduction is ordered by tree index,
+    so results are identical for any worker count.
     """
     indices = range(config.tree_count)
     if workers <= 1:
-        results = [task(dataset, config, t) for t in indices]
+        results = [_tree_task(criterion, features, config, t) for t in indices]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, config.tree_count)) as pool:
-            futures = [pool.submit(task, dataset, config, t) for t in indices]
+            futures = [pool.submit(_tree_task, criterion, features, config, t)
+                       for t in indices]
             results = [f.result() for f in futures]
     for t, (_, depth, nodes, elapsed) in enumerate(results):
         logger.info("tree=%d depth=%d nodes=%d elapsed=%.3fs", t, depth, nodes, elapsed)
@@ -404,7 +411,7 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
     config.validate()
     if not dataset.visible.any():
         raise ValueError("dataset has no visible landmark instances")
-    trees = _run_tree_tasks(_rec_tree_task, dataset, config, workers)
+    trees = _run_tree_tasks(_RecCriterion(dataset), dataset.features, config, workers)
     return RecForest(trees=trees, protocol=dataset.protocol, gamma=0.5)
 
 
@@ -412,8 +419,8 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
 # Inference
 # ---------------------------------------------------------------------------
 
-def _route_payloads(root, features, payload_of, dim):
-    """Route all feature rows; returns (leaf payloads (M, dim), counts (M,))."""
+def _route_payloads(root, features, dim):
+    """Route all feature rows; returns (leaf ratings (M, dim), counts (M,))."""
     M = features.shape[0]
     payloads = np.empty((M, dim))
     counts = np.empty(M)
@@ -427,20 +434,18 @@ def _route_payloads(root, features, payload_of, dim):
             stack.append((node.left, rows[go]))
             stack.append((node.right, rows[~go]))
         else:
-            payloads[rows] = payload_of(node)
+            payloads[rows] = node.rating
             counts[rows] = node.sample_count
     return payloads, counts
 
 
-def aggregate_rating(trees, features, dim, payload_of=None) -> np.ndarray:
-    """Count-weighted average of leaf payloads across trees, per feature row."""
-    if payload_of is None:
-        payload_of = lambda leaf: leaf.rating
+def aggregate_rating(trees, features, dim) -> np.ndarray:
+    """Count-weighted average of leaf ratings across trees, per feature row."""
     M = features.shape[0]
     num = np.zeros((M, dim))
     den = np.zeros(M)
     for root in trees:
-        payloads, counts = _route_payloads(root, features, payload_of, dim)
+        payloads, counts = _route_payloads(root, features, dim)
         num += counts[:, None] * payloads
         den += counts
     return num / den[:, None]
@@ -462,8 +467,8 @@ def blend_prediction(protocol: ModelProtocol, responses, features, W, gamma):
     return landmarks, confidence, confidence >= gamma
 
 
-def predict_many(forest: RecForest, responses, features):
-    """Batch inference. Returns (landmarks, confidence, flags) arrays."""
+def _check_inputs(forest, responses, features):
+    """Float64 (responses, features), checked against the forest's protocol."""
     responses = np.asarray(responses, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     proto = forest.protocol
@@ -472,13 +477,25 @@ def predict_many(forest: RecForest, responses, features):
         raise ValueError("responses shape does not match the forest protocol")
     if features.shape != (M, proto.feature_count):
         raise ValueError("features shape does not match the forest protocol")
-    W = aggregate_rating(forest.trees, features, proto.model_count)
-    return blend_prediction(proto, responses, features, W, forest.gamma)
+    if not (np.isfinite(responses).all() and np.isfinite(features).all()):
+        raise ValueError("responses and features must be finite")
+    return responses, features
 
 
-def predict(forest: RecForest, responses, features) -> Prediction:
-    """Single-sample inference: responses (C, N, 2), features (F,)."""
-    landmarks, confidence, flags = predict_many(
+def predict_many(forest: RecForest, responses, features):
+    """Batch inference. Returns (landmarks, confidence, flags) arrays.
+
+    A classification forest goes the same way, its leaf posteriors acting
+    as ratings.
+    """
+    responses, features = _check_inputs(forest, responses, features)
+    W = aggregate_rating(forest.trees, features, forest.protocol.model_count)
+    return blend_prediction(forest.protocol, responses, features, W, forest.gamma)
+
+
+def _predict_one(batch_fn, forest, responses, features) -> Prediction:
+    """One sample, responses (C, N, 2) and features (F,), through `batch_fn`."""
+    landmarks, confidence, flags = batch_fn(
         forest, np.asarray(responses)[None], np.asarray(features)[None]
     )
     return Prediction(
@@ -486,6 +503,11 @@ def predict(forest: RecForest, responses, features) -> Prediction:
         visibility_confidence=confidence[0],
         visibility_flag=flags[0],
     )
+
+
+def predict(forest: RecForest, responses, features) -> Prediction:
+    """Single-sample inference: responses (C, N, 2), features (F,)."""
+    return _predict_one(predict_many, forest, responses, features)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Forest persistence.
 
 One JSON document per forest: format version, forest kind, gamma, the pool
-protocol masks, and the trees as nested split/leaf nodes.  Floats are
+protocol masks, and the trees as nested split/leaf nodes.  Both forest
+kinds hold `Leaf` nodes; the kind only names the leaf vector's JSON key,
+"rating" for a recommendation forest and "posterior" for a classification
+forest, whose leaf `rating` is its class posterior.  Floats are
 written with repr (shortest round-trip), so save -> load -> predict is
 bit-identical to the in-memory forest.  Writes are atomic: the file appears
 complete or not at all.
@@ -11,8 +14,15 @@ import json
 
 import numpy as np
 
-from .classforest import ClassForest, ClassLeaf
-from .data import ModelProtocol, SchemaError, _atomic_write_text
+from .classforest import ClassForest
+from .data import (
+    ModelProtocol,
+    SchemaError,
+    _atomic_write_text,
+    _is_int,
+    _is_number,
+    _require,
+)
 from .forest import Leaf, RecForest, Split, SplitParams
 
 FOREST_FORMAT_VERSION = 1
@@ -30,10 +40,9 @@ def _node_to_obj(node, rating_key):
             "left": _node_to_obj(node.left, rating_key),
             "right": _node_to_obj(node.right, rating_key),
         }
-    vec = node.rating if rating_key == "rating" else node.posterior
     return {
         "type": "leaf",
-        rating_key: [float(v) for v in vec],
+        rating_key: [float(v) for v in node.rating],
         "sampleCount": int(node.sample_count),
     }
 
@@ -57,23 +66,18 @@ def save_forest(forest, path) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
-def _require(cond, message):
-    if not cond:
-        raise SchemaError(message)
-
-
 def _node_from_obj(obj, rating_key, feature_count, model_count):
     _require(isinstance(obj, dict), "tree node must be an object")
     kind = obj.get("type")
     if kind == "split":
         fi = obj.get("featureIndex")
-        _require(isinstance(fi, int) and 0 <= fi < feature_count,
+        _require(_is_int(fi) and 0 <= fi < feature_count,
                  "split featureIndex out of range")
         tau = obj.get("threshold")
-        _require(isinstance(tau, (int, float)) and np.isfinite(tau),
+        _require(_is_number(tau) and np.isfinite(tau),
                  "split threshold must be finite")
         gain = obj.get("gain")
-        _require(isinstance(gain, (int, float)) and np.isfinite(gain),
+        _require(_is_number(gain) and np.isfinite(gain),
                  "split gain must be finite")
         _require("left" in obj and "right" in obj, "split missing a child")
         return Split(
@@ -89,13 +93,10 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
             "leaf %s must list one weight per model" % rating_key,
         )
         count = obj.get("sampleCount")
-        _require(isinstance(count, int) and count >= 1,
+        _require(_is_int(count) and count >= 1,
                  "leaf sampleCount must be a positive integer")
         try:
-            arr = np.asarray(vec, dtype=np.float64)
-            if rating_key == "rating":
-                return Leaf(rating=arr, sample_count=count)
-            return ClassLeaf(posterior=arr, sample_count=count)
+            return Leaf(rating=np.asarray(vec, dtype=np.float64), sample_count=count)
         except (TypeError, ValueError) as exc:
             raise SchemaError("invalid leaf %s: %s" % (rating_key, exc))
     raise SchemaError("tree node type must be 'split' or 'leaf'")
@@ -110,14 +111,15 @@ def load_forest(path):
             raise SchemaError("unparseable forest file: %s" % exc)
     _require(isinstance(payload, dict), "forest file must hold an object")
     _require(
-        payload.get("formatVersion") == FOREST_FORMAT_VERSION,
+        _is_int(payload.get("formatVersion"))
+        and payload["formatVersion"] == FOREST_FORMAT_VERSION,
         "unsupported forest formatVersion",
     )
     kind = payload.get("kind")
     _require(kind in _KIND_TO_KEY, "forest kind must be recommendation or classification")
     gamma = payload.get("gamma")
     _require(
-        isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0,
+        _is_number(gamma) and 0.0 <= gamma <= 1.0,
         "gamma must be in [0, 1]",
     )
     masks = payload.get("masks")

@@ -7,7 +7,6 @@ import pytest
 
 from recforest.classforest import (
     ClassForest,
-    ClassLeaf,
     derive_labels,
     entropy,
     predict_posterior_rating_many,
@@ -159,9 +158,9 @@ class TestTraining:
             RecTrainConfig(tree_count=3, rng_seed=1),
         )
         for root in forest.trees:
-            assert isinstance(root, ClassLeaf)
+            assert isinstance(root, Leaf)
             assert root.sample_count == 9
-            assert np.array_equal(root.posterior, [0.0, 1.0, 0.0])
+            assert np.array_equal(root.rating, [0.0, 1.0, 0.0])
 
     def test_two_cluster_separable(self):
         ds, meta = generate(two_cluster_config(200))
@@ -180,7 +179,7 @@ class TestTraining:
             if isinstance(node, Split):
                 stack.extend((node.left, node.right))
             else:
-                assert np.isin(node.posterior, (0.0, 1.0)).all()
+                assert np.isin(node.rating, (0.0, 1.0)).all()
 
     def test_same_seed_same_forest(self):
         rng = np.random.default_rng(13)
@@ -203,7 +202,7 @@ class TestTraining:
 
 def _leaf_forest(proto, posterior, gamma=0.5):
     return ClassForest(
-        trees=[ClassLeaf(posterior=posterior, sample_count=4)],
+        trees=[Leaf(rating=posterior, sample_count=4)],
         protocol=proto,
         gamma=gamma,
     )
@@ -225,8 +224,8 @@ class TestTopVote:
     def test_majority_and_tie_rule(self):
         masks = np.ones((2, 1), dtype=bool)
         proto = ModelProtocol(masks)
-        leaf0 = ClassLeaf(posterior=[0.9, 0.1], sample_count=1)
-        leaf1 = ClassLeaf(posterior=[0.1, 0.9], sample_count=1)
+        leaf0 = Leaf(rating=[0.9, 0.1], sample_count=1)
+        leaf1 = Leaf(rating=[0.1, 0.9], sample_count=1)
         responses = np.array([[[[1.0, 1.0]], [[5.0, 5.0]]]])
         features = np.array([[0.6, 0.6]])
         majority = ClassForest(trees=[leaf0, leaf0, leaf1], protocol=proto)
@@ -270,17 +269,6 @@ class TestTopVote:
             predict_top_vote_many(forest, ds.responses, ds.features[:, :-1])
 
 
-def _to_rec_tree(node):
-    if isinstance(node, ClassLeaf):
-        return Leaf(rating=node.posterior.copy(), sample_count=node.sample_count)
-    return Split(
-        params=node.params,
-        gain=node.gain,
-        left=_to_rec_tree(node.left),
-        right=_to_rec_tree(node.right),
-    )
-
-
 class TestPosteriorRating:
     def test_even_posterior_averages_responses(self):
         masks = np.ones((2, 1), dtype=bool)
@@ -305,8 +293,8 @@ class TestPosteriorRating:
             assert np.allclose(a, b, atol=1e-12)
 
     def test_same_blend_path_as_recommendation_forest(self):
-        # posterior-as-rating must equal a recommendation forest whose
-        # leaves carry the posteriors, node for node
+        # posterior-as-rating must equal a recommendation forest holding
+        # the same trees, whose leaf ratings are the posteriors
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, M=40, C=3)
         labels = derive_labels(ds)
@@ -315,7 +303,7 @@ class TestPosteriorRating:
             RecTrainConfig(tree_count=3, max_depth=4, rng_seed=17),
         )
         rec = RecForest(
-            trees=[_to_rec_tree(root) for root in cls.trees],
+            trees=list(cls.trees),
             protocol=cls.protocol,
             gamma=cls.gamma,
         )
@@ -331,7 +319,6 @@ class TestMirrorConfusability:
         # occlusion keeps the class signal ambiguous between the mirror
         # clusters while the rating criterion can hedge onto the middles
         from recforest.forest import aggregate_rating, train_forest
-        from recforest.classforest import _posterior
 
         cfg = GenConfig(
             sample_count=900,
@@ -357,9 +344,7 @@ class TestMirrorConfusability:
         cls = train_class_forest(train, derive_labels(train, cid[:600]), config)
         mirror = np.nonzero((cid[600:] == 0) | (cid[600:] == 3))[0]
         W_rec = aggregate_rating(rec.trees, test.features[mirror], 4)
-        W_post = aggregate_rating(
-            cls.trees, test.features[mirror], 4, payload_of=_posterior
-        )
+        W_post = aggregate_rating(cls.trees, test.features[mirror], 4)
         joint_rec = int(np.sum((W_rec[:, 0] > 0.2) & (W_rec[:, 3] > 0.2)))
         joint_post = int(np.sum((W_post[:, 0] > 0.2) & (W_post[:, 3] > 0.2)))
         assert joint_post >= 10
@@ -370,7 +355,7 @@ class TestForestValidation:
     def test_gamma_and_tree_count(self):
         masks = np.ones((2, 1), dtype=bool)
         proto = ModelProtocol(masks)
-        leaf = ClassLeaf(posterior=[1.0, 0.0], sample_count=1)
+        leaf = Leaf(rating=[1.0, 0.0], sample_count=1)
         with pytest.raises(ValueError):
             ClassForest(trees=[], protocol=proto)
         with pytest.raises(ValueError):
@@ -378,6 +363,6 @@ class TestForestValidation:
 
     def test_leaf_validation(self):
         with pytest.raises(ValueError):
-            ClassLeaf(posterior=[0.7, 0.7], sample_count=1)
+            Leaf(rating=[0.7, 0.7], sample_count=1)
         with pytest.raises(ValueError):
-            ClassLeaf(posterior=[1.0, 0.0], sample_count=0)
+            Leaf(rating=[1.0, 0.0], sample_count=0)

@@ -100,6 +100,20 @@ class TestTrain:
         assert rc == 1
         assert "--val" in capsys.readouterr().err
 
+    def test_malformed_dataset_fails_cleanly(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        path = os.path.join(data, "dataset.json")
+        doc = json.loads(open(path).read())
+        doc["sampleCount"] = None
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["train", "--data", data, "--out", str(tmp_path / "f.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampleCount")
+        assert "Traceback" not in err
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nowhere"),
                    "--out", str(tmp_path / "f.json")])
@@ -227,6 +241,28 @@ class TestCompare:
         rc = main(self._compare(data, ("--strategies", "fixed-frontal")))
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("fixed-frontal")
+
+    def test_config_file_matches_flags(self, tmp_path, capsys):
+        # centers differ from the metadata's, and --folds beats fold_count
+        data = _gen(tmp_path)
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["rec-forest", "fixed-frontal"],
+            "fold_count": 3,
+            "cluster_centers": [-50, -25, 0, 25, 50],
+            "train": {"tree_count": 2, "max_depth": 3},
+        }))
+        capsys.readouterr()
+        rc = main(["compare", "--data", data, "--config", str(cfg),
+                   "--folds", "2", "--format", "records"])
+        assert rc == 0
+        from_config = capsys.readouterr().out
+        rc = main(self._compare(data, (
+            "--strategies", "rec-forest,fixed-frontal",
+            "--centers=-50,-25,0,25,50", "--format", "records",
+        )))
+        assert rc == 0
+        assert capsys.readouterr().out == from_config
 
     def test_unknown_strategy(self, tmp_path, capsys):
         data = _gen(tmp_path)

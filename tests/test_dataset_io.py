@@ -174,6 +174,38 @@ class TestDatasetLoadRejections:
         with pytest.raises(SchemaError, match="featureCount"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(sampleCount=None),
+            lambda d: d.update(sampleCount=True, samples=d["samples"][:1]),
+            lambda d: d.update(modelCount=3.0),
+            lambda d: d.update(formatVersion=True),
+            lambda d: d.update(samples=5),
+            lambda d: d["samples"][0].update(visibilitySet=[True]),
+            lambda d: d["samples"][1].update(normalizer=True),
+            lambda d: d["samples"][1].update(responses={}),
+            lambda d: d["samples"][2].update(features="high"),
+        ],
+        ids=[
+            "null-sample-count",
+            "bool-sample-count",
+            "float-model-count",
+            "bool-format-version",
+            "samples-not-a-list",
+            "bool-visibility-index",
+            "bool-normalizer",
+            "object-responses",
+            "string-features",
+        ],
+    )
+    def test_wrong_json_types(self, tmp_path, mutate):
+        doc, path = self.make_doc(tmp_path)
+        mutate(doc)
+        self.write(doc, path)
+        with pytest.raises(SchemaError):
+            load_dataset(path)
+
 
 class TestMetadataSidecar:
     def test_round_trip(self, tmp_path):

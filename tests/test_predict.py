@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from recforest.classforest import (
+    derive_labels,
+    predict_posterior_rating_many,
+    predict_top_vote_many,
+    train_class_forest,
+)
 from recforest.data import ModelProtocol
 from recforest.forest import (
     Leaf,
@@ -134,6 +140,35 @@ def _leaf_of(node, features):
         else:
             node = node.right
     return node
+
+
+@pytest.mark.parametrize("bad", ["features", "responses"])
+@pytest.mark.parametrize(
+    "predictor, kind, single",
+    [
+        (predict_many, "rec", False),
+        (predict_top_vote_many, "class", False),
+        (predict_posterior_rating_many, "class", False),
+        (predict, "rec", True),
+    ],
+)
+def test_non_finite_inputs_rejected(predictor, kind, single, bad):
+    ds = random_dataset(np.random.default_rng(14), M=20)
+    config = RecTrainConfig(tree_count=2, max_depth=3, rng_seed=1)
+    if kind == "rec":
+        forest = train_forest(ds, config)
+    else:
+        forest = train_class_forest(ds, derive_labels(ds), config)
+    responses = ds.responses.copy()
+    features = ds.features.copy()
+    if bad == "features":
+        features[1, 0] = np.nan
+    else:
+        responses[1, 0, 0, 1] = np.inf
+    if single:
+        responses, features = responses[1], features[1]
+    with pytest.raises(ValueError, match="finite"):
+        predictor(forest, responses, features)
 
 
 class TestGammaCalibration:

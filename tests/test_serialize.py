@@ -115,6 +115,8 @@ class TestSchemaValidation:
             lambda d: d.update(masks="nope"),
             lambda d: d.update(trees=[]),
             lambda d: d.update(trees="nope"),
+            lambda d: d.update(formatVersion=True),
+            lambda d: d.update(gamma=True),
         ],
     )
     def test_header_rejections(self, tmp_path, mutate):
@@ -133,6 +135,8 @@ class TestSchemaValidation:
             lambda n: n.update(gain=float("inf")),
             lambda n: n.pop("left"),
             lambda n: n.update(type="branch"),
+            lambda n: n.update(featureIndex=True),
+            lambda n: n.update(threshold=False),
         ],
     )
     def test_split_rejections(self, tmp_path, mutate):
@@ -151,6 +155,7 @@ class TestSchemaValidation:
             lambda leaf: leaf.pop("rating"),
             lambda leaf: leaf.update(sampleCount=0),
             lambda leaf: leaf.update(sampleCount=2.5),
+            lambda leaf: leaf.update(sampleCount=True),
         ],
     )
     def test_leaf_rejections(self, tmp_path, mutate):

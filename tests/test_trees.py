@@ -1,5 +1,7 @@
 """Recommendation-tree training: costs, split gains, growth, determinism."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,28 @@ class TestTrainForest:
         config = RecTrainConfig(tree_count=3, max_depth=5, min_samples_per_leaf=4,
                                 rng_seed=21)
         assert train_forest(ds, config).trees == train_forest(ds, config).trees
+
+    def test_unconverged_solve_warns_and_keeps_iterate(self, monkeypatch, caplog):
+        from recforest import forest as module
+
+        real = module.solve_gram_batch
+
+        def first_row_unconverged(G, h, **kwargs):
+            w, iterations, converged = real(G, h, **kwargs)
+            converged = converged.copy()
+            converged[0] = False
+            return w, iterations, converged
+
+        ds = random_dataset(np.random.default_rng(10), M=30)
+        config = RecTrainConfig(tree_count=1, max_depth=2, rng_seed=4)
+        expected = train_forest(ds, config)
+        monkeypatch.setattr(module, "solve_gram_batch", first_row_unconverged)
+        with caplog.at_level(logging.WARNING, logger="recforest.forest"):
+            got = train_forest(ds, config)
+        assert got.trees == expected.trees
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings
+        assert all("did not converge on 1 of" in r.getMessage() for r in warnings)
 
     def test_worker_count_does_not_change_forest(self):
         rng = np.random.default_rng(12)
