@@ -12,18 +12,18 @@ import json
 import logging
 import os
 import sys
+import types
 from dataclasses import asdict, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .classforest import (
-    derive_labels,
-    predict_posterior_rating_many,
-    predict_top_vote_many,
-    train_class_forest,
-)
+from .classforest import derive_labels, train_class_forest
 from .data import (
     _atomic_write_text,
+    _is_int,
+    _is_list_of,
+    _is_number,
     load_dataset,
     load_metadata,
     save_dataset,
@@ -38,11 +38,14 @@ from .forest import (
 )
 from .metrics import (
     CompareConfig,
+    _eval_report,
+    _holdout_split,
+    _predict_strategy,
+    _report_record,
+    _sample_errors,
     curve_lines,
     format_comparison,
     run_comparison,
-    sample_error,
-    visibility_scores,
 )
 from .seeds import derive_seed
 from .serialize import load_forest, save_forest
@@ -68,7 +71,9 @@ def _resolve_workers(value):
     return value
 
 
-def _read_config(path, allowed, label):
+def _read_config(path):
+    if path is None:
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -76,11 +81,6 @@ def _read_config(path, allowed, label):
         raise ValueError("unparseable config file %s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(
-            "unknown config keys for %s: %s" % (label, ", ".join(unknown))
-        )
     return doc
 
 
@@ -91,10 +91,39 @@ def _parse_floats(text, label):
         raise ValueError("%s must be comma-separated numbers" % label)
 
 
-def _merge_dataclass(cls, base, config_doc, args, flag_names):
+def _fits(value, kind):
+    """Whether a parsed JSON value has the type a config field declares."""
+    if get_origin(kind) is types.UnionType:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        return _is_list_of(lambda v: _fits(v, get_args(kind)[0]), value)
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return _is_number(value)
+    return isinstance(value, kind)
+
+
+def _merge_dataclass(cls, label, base, config_doc, args):
+    """`cls` from `base`, overridden by the config file's values and then by
+    the flags given on the command line."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(config_doc) - set(kinds))
+    if unknown:
+        raise ValueError(
+            "unknown config keys for %s: %s" % (label, ", ".join(unknown))
+        )
+    for key, value in config_doc.items():
+        kind = kinds[key]
+        if not _fits(value, kind):
+            raise ValueError(
+                "config key %r must be %s, got %s"
+                % (key, kind.__name__ if isinstance(kind, type) else kind,
+                   json.dumps(value))
+            )
     merged = dict(base)
     merged.update(config_doc)
-    for name in flag_names:
+    for name in kinds:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -117,14 +146,13 @@ def _load_data_dir(path, need_metadata=False):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args):
-    field_names = [f.name for f in fields(GenConfig)]
     base = asdict(PRESETS[args.preset])
-    doc = _read_config(args.config, field_names, "gen") if args.config else {}
+    doc = _read_config(args.config)
     if args.cluster_centers is not None:
         args.cluster_centers = _parse_floats(args.cluster_centers, "--centers")
     if args.yaw_range is not None:
         args.yaw_range = _parse_floats(args.yaw_range, "--yaw-range")
-    config = _merge_dataclass(GenConfig, base, doc, args, field_names)
+    config = _merge_dataclass(GenConfig, "gen", base, doc, args)
     config = GenConfig(
         **{
             **asdict(config),
@@ -161,9 +189,6 @@ def cmd_gen(args):
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_FLAGS = [f.name for f in fields(RecTrainConfig)]
-
-
 def _add_train_flags(p):
     p.add_argument("--trees", type=int, dest="tree_count")
     p.add_argument("--max-depth", type=int, dest="max_depth")
@@ -176,47 +201,33 @@ def _add_train_flags(p):
 
 def _train_config(args, doc):
     base = asdict(RecTrainConfig())
-    return _merge_dataclass(RecTrainConfig, base, doc, args, _TRAIN_FLAGS)
-
-
-def _validation_split(sample_count, fraction, seed):
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("--val must be in (0, 1)")
-    rng = np.random.default_rng(derive_seed(seed, "val"))
-    perm = rng.permutation(sample_count)
-    val_count = max(1, int(round(fraction * sample_count)))
-    if val_count >= sample_count:
-        raise ValueError("validation slice leaves no training samples")
-    return np.sort(perm[val_count:]), np.sort(perm[:val_count])
+    return _merge_dataclass(RecTrainConfig, "train", base, doc, args)
 
 
 def cmd_train(args):
     workers = _resolve_workers(args.workers)
-    doc = (
-        _read_config(args.config, _TRAIN_FLAGS + ["val"], "train")
-        if args.config
-        else {}
-    )
+    doc = _read_config(args.config)
     val_fraction = args.val if args.val is not None else doc.pop("val", 0.2)
     doc.pop("val", None)
     config = _train_config(args, doc)
     dataset, meta = _load_data_dir(args.data)
-    fit_idx, val_idx = _validation_split(
-        dataset.sample_count, val_fraction, config.rng_seed
+    if not (_is_number(val_fraction) and 0.0 < val_fraction < 1.0):
+        raise ValueError("--val must be in (0, 1)")
+    rng = np.random.default_rng(derive_seed(config.rng_seed, "val"))
+    fit_idx, val_idx = _holdout_split(
+        np.arange(dataset.sample_count), val_fraction, rng
     )
     fit_ds = dataset.subset(fit_idx)
     if args.method == "rec":
         forest = train_forest(fit_ds, config, workers=workers)
-        _, conf, _ = predict_many(
-            forest, dataset.responses[val_idx], dataset.features[val_idx]
-        )
     else:
         cluster_id = meta[1] if meta is not None else None
         labels = derive_labels(dataset, cluster_id)
         forest = train_class_forest(fit_ds, labels[fit_idx], config, workers=workers)
-        _, conf, _ = predict_posterior_rating_many(
-            forest, dataset.responses[val_idx], dataset.features[val_idx]
-        )
+    # a classification forest's posterior-rating output is predict_many's
+    _, conf, _ = predict_many(
+        forest, dataset.responses[val_idx], dataset.features[val_idx]
+    )
     gamma, accuracy = accuracy_maximizing_threshold(
         conf.ravel(), dataset.visible[val_idx].ravel()
     )
@@ -236,26 +247,20 @@ def cmd_train(args):
 def _forest_outputs(forest, dataset, selector):
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
-    if isinstance(forest, RecForest):
-        return predict_many(forest, dataset.responses, dataset.features)
-    if selector == "top-vote":
-        return predict_top_vote_many(forest, dataset.responses, dataset.features)
-    return predict_posterior_rating_many(forest, dataset.responses, dataset.features)
+    strategy = "rec-forest" if isinstance(forest, RecForest) else selector
+    return _predict_strategy(forest, strategy, dataset.responses, dataset.features)
 
 
 def cmd_predict(args):
     forest = load_forest(args.forest)
     dataset, _ = _load_data_dir(args.data)
     landmarks, confidences, flags = _forest_outputs(forest, dataset, args.selector)
-    samples = []
-    for m in range(dataset.sample_count):
-        samples.append(
-            {
-                "landmarks": [[float(x), float(y)] for x, y in landmarks[m]],
-                "confidences": [float(v) for v in confidences[m]],
-                "flags": [bool(v) for v in flags[m]],
-            }
+    samples = [
+        {"landmarks": lm, "confidences": conf, "flags": flg}
+        for lm, conf, flg in zip(
+            landmarks.tolist(), confidences.tolist(), flags.tolist()
         )
+    ]
     payload = {"formatVersion": 1, "sampleCount": dataset.sample_count, "samples": samples}
     _atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
     print("wrote %d predictions to %s" % (dataset.sample_count, args.out))
@@ -266,41 +271,17 @@ def cmd_eval(args):
     forest = load_forest(args.forest)
     dataset, _ = _load_data_dir(args.data)
     landmarks, confidences, flags = _forest_outputs(forest, dataset, args.selector)
-    errors = [
-        sample_error(
-            landmarks[m],
-            dataset.ground_truth[m],
-            dataset.visible[m],
-            dataset.normalizer[m],
-        )
-        for m in range(dataset.sample_count)
-        if dataset.visible[m].any()
-    ]
-    if not errors:
-        raise ValueError("no samples with visible landmarks to evaluate")
-    accuracy, ap, _ = visibility_scores(
-        confidences.ravel(), flags.ravel(), dataset.visible.ravel()
-    )
-    mean_error = float(np.mean(errors))
+    errors = _sample_errors(landmarks, dataset, range(dataset.sample_count))
+    report = _eval_report(errors, confidences, flags, dataset.visible)
     if args.format == "records":
-        text = (
-            json.dumps(
-                {
-                    "formatVersion": 1,
-                    "meanError": mean_error,
-                    "visibilityAccuracy": accuracy,
-                    "visibilityAP": ap,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        doc = dict(formatVersion=1, **_report_record(report))
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
+        ap = report.visibility_ap
         ap_text = "%.4f" % ap if ap is not None else "-"
         text = (
             "mean-error    %.4f\nvis-accuracy  %.4f\nvis-AP        %s\n"
-            % (mean_error, accuracy, ap_text)
+            % (report.mean_error, report.visibility_accuracy, ap_text)
         )
     sys.stdout.write(text)
     if args.out:
@@ -312,22 +293,12 @@ def cmd_eval(args):
 # compare
 # ---------------------------------------------------------------------------
 
-_COMPARE_FLAGS = [f.name for f in fields(CompareConfig) if f.name != "train"]
-
-
 def cmd_compare(args):
     workers = _resolve_workers(args.workers)
-    doc = (
-        _read_config(args.config, _COMPARE_FLAGS + ["train"], "compare")
-        if args.config
-        else {}
-    )
+    doc = _read_config(args.config)
     train_doc = doc.pop("train", {})
     if not isinstance(train_doc, dict):
         raise ValueError("config key 'train' must be an object")
-    unknown = sorted(set(train_doc) - set(_TRAIN_FLAGS))
-    if unknown:
-        raise ValueError("unknown config keys for train: %s" % ", ".join(unknown))
     train_config = _train_config(args, train_doc)
 
     if args.strategies is not None:
@@ -338,7 +309,7 @@ def cmd_compare(args):
     dataset, meta = _load_data_dir(args.data, need_metadata=True)
     yaw, cluster_id, meta_centers = meta
     base = dict(asdict(CompareConfig()), cluster_centers=meta_centers, train=train_config)
-    config = _merge_dataclass(CompareConfig, base, doc, args, _COMPARE_FLAGS)
+    config = _merge_dataclass(CompareConfig, "compare", base, doc, args)
     reports = run_comparison(dataset, yaw, cluster_id, config, workers=workers)
     text = format_comparison(reports, args.format)
     sys.stdout.write(text)

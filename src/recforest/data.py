@@ -276,6 +276,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_list_of(is_item, value):
+    return isinstance(value, list) and all(is_item(v) for v in value)
+
+
 def _float_array(value, shape, what):
     try:
         arr = np.asarray(value, dtype=np.float64)
@@ -385,14 +389,17 @@ def load_metadata(path):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("unparseable metadata file: %s" % exc) from exc
     _require(isinstance(doc, dict), "metadata document must be an object")
-    _require(doc.get("formatVersion") == DATASET_FORMAT_VERSION,
+    _require(_is_int(doc.get("formatVersion"))
+             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
-    yaw = np.asarray(doc.get("yaw"), dtype=np.float64)
-    cluster_id = np.asarray(doc.get("clusterId"), dtype=np.int64)
-    _require(yaw.ndim == 1 and yaw.shape == cluster_id.shape,
-             "metadata arrays malformed")
+    yaw, cluster_id = doc.get("yaw"), doc.get("clusterId")
     centers = doc.get("clusterCenters")
+    _require(_is_list_of(_is_number, yaw), "metadata yaw must list numbers")
+    _require(_is_list_of(_is_int, cluster_id),
+             "metadata clusterId must list integers")
+    _require(len(yaw) == len(cluster_id), "metadata arrays malformed")
     if centers is not None:
+        _require(_is_list_of(_is_number, centers), "clusterCenters malformed")
         centers = np.asarray(centers, dtype=np.float64)
-        _require(centers.ndim == 1, "clusterCenters malformed")
-    return yaw, cluster_id, centers
+    return (np.asarray(yaw, dtype=np.float64),
+            np.asarray(cluster_id, dtype=np.int64), centers)

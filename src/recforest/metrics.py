@@ -114,11 +114,11 @@ def ced_curve(per_sample_errors, thresholds):
 class CompareConfig:
     """Settings for the cross-validated strategy comparison."""
 
-    strategies: tuple = STRATEGIES
+    strategies: tuple[str, ...] = STRATEGIES
     fold_count: int = 5
     validation_fraction: float = 0.2
     pose_noise_deg: float = 25.0
-    cluster_centers: tuple | None = None
+    cluster_centers: tuple[float, ...] | None = None
     rng_seed: int = 0
     train: RecTrainConfig = field(default_factory=RecTrainConfig)
 
@@ -148,37 +148,75 @@ def fold_assignment(sample_count: int, fold_count: int, seed: int) -> np.ndarray
     return fold
 
 
-def _one_hot_ratings(choice, model_count):
-    W = np.zeros((choice.shape[0], model_count))
-    W[np.arange(choice.shape[0]), choice] = 1.0
-    return W
+def _holdout_split(indices, fraction, rng):
+    """Shuffle `indices` with `rng` and hold out round(fraction * size) of
+    them, at least one, for validation.  Returns sorted (fit, validation)."""
+    shuffled = rng.permutation(indices)
+    val_count = max(1, int(round(fraction * shuffled.size)))
+    if val_count >= shuffled.size:
+        raise ValueError("validation slice leaves no training samples")
+    return np.sort(shuffled[val_count:]), np.sort(shuffled[:val_count])
 
 
-def _strategy_outputs(
-    strategy, dataset, idx, rec_forest, cls_forest, centers, yaw, noise
-):
-    """(landmarks, confidences) of one strategy on the given sample rows."""
+def _predict_strategy(forest, strategy, responses, features):
+    """(landmarks, confidences, flags) of a forest under the `rec-forest`,
+    `top-vote` or `posterior-rating` strategy."""
+    if strategy == "top-vote":
+        return predict_top_vote_many(forest, responses, features)
+    if strategy == "posterior-rating":
+        return predict_posterior_rating_many(forest, responses, features)
+    return predict_many(forest, responses, features)
+
+
+def _strategy_outputs(strategy, dataset, idx, model, centers):
+    """(landmarks, confidences, flags) of one strategy on the given rows.
+
+    `model` is the strategy's forest, or for a prior baseline the yaw
+    estimate of every sample; the baseline answers with the expert whose
+    cluster center is nearest that estimate.
+    """
     responses = dataset.responses[idx]
     features = dataset.features[idx]
-    if strategy == "fixed-frontal":
-        c0 = int(np.argmin(np.abs(centers)))
-        choice = np.full(idx.shape[0], c0, dtype=np.int64)
-        W = _one_hot_ratings(choice, dataset.model_count)
-        lm, conf, _ = blend_prediction(dataset.protocol, responses, features, W, 0.0)
-    elif strategy == "noisy-prior":
-        yaw_hat = yaw[idx] + noise[idx]
-        choice = np.argmin(np.abs(yaw_hat[:, None] - centers[None, :]), axis=1)
-        W = _one_hot_ratings(choice, dataset.model_count)
-        lm, conf, _ = blend_prediction(dataset.protocol, responses, features, W, 0.0)
-    elif strategy == "top-vote":
-        lm, conf, _ = predict_top_vote_many(cls_forest, responses, features)
-    elif strategy == "posterior-rating":
-        lm, conf, _ = predict_posterior_rating_many(cls_forest, responses, features)
-    elif strategy == "rec-forest":
-        lm, conf, _ = predict_many(rec_forest, responses, features)
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
-    return lm, conf
+    if strategy in ("fixed-frontal", "noisy-prior"):
+        choice = np.argmin(np.abs(model[idx, None] - centers[None, :]), axis=1)
+        W = np.eye(dataset.model_count)[choice]
+        return blend_prediction(dataset.protocol, responses, features, W, 0.0)
+    return _predict_strategy(model, strategy, responses, features)
+
+
+def _sample_errors(landmarks, dataset, rows):
+    """Error of landmarks[i] against sample rows[i]; NaN for a sample with no
+    visible landmark."""
+    errors = np.full(len(rows), np.nan)
+    for i, m in enumerate(rows):
+        if dataset.visible[m].any():
+            errors[i] = sample_error(
+                landmarks[i],
+                dataset.ground_truth[m],
+                dataset.visible[m],
+                dataset.normalizer[m],
+            )
+    return errors
+
+
+def _eval_report(errors, confidences, flags, visible):
+    """EvalReport of per-sample errors and per-landmark visibility outputs;
+    samples with no visible landmark are left out of the error figures."""
+    errors = errors[visible.any(axis=1)]
+    if errors.size == 0:
+        raise ValueError("no samples with visible landmarks to evaluate")
+    accuracy, ap, pr = visibility_scores(
+        confidences.ravel(), flags.ravel(), visible.ravel()
+    )
+    thresholds = np.linspace(0.0, float(errors.max()), 51)
+    return EvalReport(
+        mean_error=float(np.mean(errors)),
+        visibility_accuracy=accuracy,
+        visibility_ap=ap,
+        ced_curve=ced_curve(errors, thresholds),
+        pr_curve=pr,
+        per_sample_errors=errors,
+    )
 
 
 def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1):
@@ -217,71 +255,57 @@ def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1)
     needs_cls = {"top-vote", "posterior-rating"} & set(config.strategies)
     for f in range(config.fold_count):
         test_idx = np.nonzero(fold == f)[0]
-        train_idx = np.nonzero(fold != f)[0]
         val_rng = np.random.default_rng(derive_seed(config.rng_seed, "val", f))
-        shuffled = val_rng.permutation(train_idx)
-        val_count = max(1, int(round(config.validation_fraction * train_idx.size)))
-        if val_count >= train_idx.size:
-            raise ValueError("validation slice leaves no training samples")
-        val_idx = np.sort(shuffled[:val_count])
-        fit_idx = np.sort(shuffled[val_count:])
+        fit_idx, val_idx = _holdout_split(
+            np.nonzero(fold != f)[0], config.validation_fraction, val_rng
+        )
         fit_ds = dataset.subset(fit_idx)
         fold_seed = derive_seed(config.rng_seed, "train", f)
         fold_train = replace(config.train, rng_seed=fold_seed)
 
-        rec_forest = None
-        cls_forest = None
+        # fixed-frontal is the prior baseline with every yaw estimate at 0
+        model = {"fixed-frontal": np.zeros(M)}
         if "rec-forest" in config.strategies:
-            rec_forest = train_forest(fit_ds, fold_train, workers=workers)
+            model["rec-forest"] = train_forest(fit_ds, fold_train, workers=workers)
         if needs_cls:
-            cls_forest = train_class_forest(
+            model["top-vote"] = model["posterior-rating"] = train_class_forest(
                 fit_ds, labels_all[fit_idx], fold_train, workers=workers
             )
-        noise = np.zeros(M)
         if "noisy-prior" in config.strategies:
             noise_rng = np.random.default_rng(
                 derive_seed(config.rng_seed, "noisy-prior", f)
             )
             noise = noise_rng.normal(0.0, config.pose_noise_deg, size=M)
+            model["noisy-prior"] = yaw + noise
 
         for strat in config.strategies:
-            _, conf_val = _strategy_outputs(
-                strat, dataset, val_idx, rec_forest, cls_forest, centers, yaw, noise
+            _, conf_val, _ = _strategy_outputs(
+                strat, dataset, val_idx, model[strat], centers
             )
             gamma, _ = accuracy_maximizing_threshold(
                 conf_val.ravel(), dataset.visible[val_idx].ravel()
             )
-            lm, conf = _strategy_outputs(
-                strat, dataset, test_idx, rec_forest, cls_forest, centers, yaw, noise
+            lm, conf, _ = _strategy_outputs(
+                strat, dataset, test_idx, model[strat], centers
             )
             conf_pool[strat][test_idx] = conf
             flag_pool[strat][test_idx] = conf >= gamma
-            for row, m in enumerate(test_idx):
-                if dataset.visible[m].any():
-                    err[strat][m] = sample_error(
-                        lm[row],
-                        dataset.ground_truth[m],
-                        dataset.visible[m],
-                        dataset.normalizer[m],
-                    )
+            err[strat][test_idx] = _sample_errors(lm, dataset, test_idx)
 
-    included = dataset.visible.any(axis=1)
-    reports = {}
-    for strat in config.strategies:
-        errors = err[strat][included]
-        accuracy, ap, pr = visibility_scores(
-            conf_pool[strat].ravel(), flag_pool[strat].ravel(), dataset.visible.ravel()
+    return {
+        strat: _eval_report(
+            err[strat], conf_pool[strat], flag_pool[strat], dataset.visible
         )
-        thresholds = np.linspace(0.0, float(errors.max()), 51)
-        reports[strat] = EvalReport(
-            mean_error=float(np.mean(errors)),
-            visibility_accuracy=accuracy,
-            visibility_ap=ap,
-            ced_curve=ced_curve(errors, thresholds),
-            pr_curve=pr,
-            per_sample_errors=errors,
-        )
-    return reports
+        for strat in config.strategies
+    }
+
+
+def _report_record(report):
+    return {
+        "meanError": report.mean_error,
+        "visibilityAccuracy": report.visibility_accuracy,
+        "visibilityAP": report.visibility_ap,
+    }
 
 
 def format_comparison(reports, fmt="table") -> str:
@@ -293,14 +317,8 @@ def format_comparison(reports, fmt="table") -> str:
     order = [s for s in STRATEGIES if s in reports]
     order += sorted(set(reports) - set(order))
     if fmt == "records":
-        payload = {"formatVersion": 1, "strategies": {}}
-        for s in order:
-            r = reports[s]
-            payload["strategies"][s] = {
-                "meanError": r.mean_error,
-                "visibilityAccuracy": r.visibility_accuracy,
-                "visibilityAP": r.visibility_ap,
-            }
+        strategies = {s: _report_record(reports[s]) for s in order}
+        payload = {"formatVersion": 1, "strategies": strategies}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt != "table":
         raise ValueError("format must be 'table' or 'records'")

@@ -37,9 +37,9 @@ class GenConfig:
 
     sample_count: int = 2000
     landmark_count: int = 12
-    cluster_centers: tuple = (-80.0, -40.0, 0.0, 40.0, 80.0)
+    cluster_centers: tuple[float, ...] = (-80.0, -40.0, 0.0, 40.0, 80.0)
     cluster_half_width: float = 20.0
-    yaw_range: tuple = (-90.0, 90.0)
+    yaw_range: tuple[float, ...] = (-90.0, 90.0)
     in_noise: float = 0.02
     out_noise_slope: float = 0.001
     score_sharpness: float = 6.0

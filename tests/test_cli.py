@@ -70,6 +70,41 @@ class TestGen:
         assert "unknown config keys for gen: smaple_count" in capsys.readouterr().err
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train", {"tree_count": "3"}),
+            ("train", {"tree_count": None}),
+            ("train", {"bootstrap_fraction": "0.5"}),
+            ("train", {"max_depth": 2.5}),
+            ("train", {"val": "0.3"}),
+            ("gen", {"cluster_centers": 5}),
+            ("gen", {"sample_count": "40"}),
+            ("gen", {"in_cluster_only": "yes"}),
+            ("compare", {"fold_count": "2"}),
+            ("compare", {"train": {"tree_count": "2"}}),
+            ("compare", {"strategies": "rec-forest"}),
+            ("compare", {"cluster_centers": [None, 1, 2, 3, 4]}),
+        ],
+    )
+    def test_wrong_json_type_fails_cleanly(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg)]
+        if command == "gen":
+            argv += ["--out", str(tmp_path / "data")]
+        else:
+            argv += ["--data", _gen(tmp_path)]
+            if command == "train":
+                argv += ["--out", str(tmp_path / "f.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestTrain:
     def test_rec_method(self, tmp_path, capsys):
         data = _gen(tmp_path)
@@ -184,6 +219,27 @@ class TestEval:
         assert file_doc["meanError"] > 0.0
         assert 0.0 <= file_doc["visibilityAccuracy"] <= 1.0
 
+    def test_records_match_numpy_scoring(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        forest_path = _train(tmp_path, data)
+        capsys.readouterr()
+        rc = main(["eval", "--forest", forest_path, "--data", data,
+                   "--format", "records"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        ds = load_dataset(os.path.join(data, "dataset.json"))
+        lm, _, flags = predict_many(load_forest(forest_path), ds.responses,
+                                    ds.features)
+        dist = np.linalg.norm(lm - np.nan_to_num(ds.ground_truth), axis=2)
+        seen = ds.visible.sum(axis=1)
+        keep = seen > 0
+        per_sample = (100.0 * (dist * ds.visible).sum(axis=1)[keep]
+                      / seen[keep] / ds.normalizer[keep])
+        assert doc["meanError"] == pytest.approx(per_sample.mean(), rel=1e-12)
+        assert doc["visibilityAccuracy"] == pytest.approx(
+            np.mean(flags == ds.visible), rel=1e-12
+        )
+
     def test_class_forest_selectors(self, tmp_path, capsys):
         data = _gen(tmp_path)
         forest_path = _train(tmp_path, data, "cls.json", extra=("--method", "class"))
@@ -263,6 +319,20 @@ class TestCompare:
         )))
         assert rc == 0
         assert capsys.readouterr().out == from_config
+
+    def test_malformed_metadata_fails_cleanly(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        path = os.path.join(data, "metadata.json")
+        doc = json.loads(open(path).read())
+        doc["clusterId"] = None
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(self._compare(data))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_unknown_strategy(self, tmp_path, capsys):
         data = _gen(tmp_path)

@@ -224,6 +224,28 @@ class TestMetadataSidecar:
         _, _, centers = load_metadata(path)
         assert centers is None
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("clusterId", None),
+            ("clusterId", [0, 0.7, 2]),
+            ("clusterId", [0, True, 2]),
+            ("yaw", [-40.0, "5", 62.5]),
+            ("yaw", [-40.0, True, 62.5]),
+            ("formatVersion", True),
+            ("clusterCenters", [None, 1]),
+        ],
+    )
+    def test_wrong_json_types(self, tmp_path, key, value):
+        path = tmp_path / "meta.json"
+        save_metadata([-40.0, 0.0, 62.5], [0, 1, 2], path,
+                      cluster_centers=[-40.0, 40.0])
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_metadata(path)
+
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_metadata([0.0, 1.0], [0], tmp_path / "m.json")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from recforest.data import ResponseDataset
 from recforest.forest import RecTrainConfig
 from recforest.metrics import (
     STRATEGIES,
@@ -280,6 +281,26 @@ class TestRunComparison:
         )
         with pytest.raises(ValueError):
             run_comparison(ds, yaw, cid, config)
+
+    def test_no_visible_landmarks_rejected(self):
+        ds, meta = generate(two_cluster_config(40))
+        yaw, cid = metadata_arrays(meta)
+        hidden = ResponseDataset(
+            protocol=ds.protocol,
+            responses=ds.responses,
+            ground_truth=np.full(ds.ground_truth.shape, np.nan),
+            visible=np.zeros(ds.visible.shape, dtype=bool),
+            features=ds.features,
+            normalizer=ds.normalizer,
+        )
+        config = CompareConfig(
+            strategies=("fixed-frontal", "noisy-prior"),
+            fold_count=2,
+            cluster_centers=(-40.0, 40.0),
+            train=_tiny_train(),
+        )
+        with pytest.raises(ValueError, match="no samples with visible landmarks"):
+            run_comparison(hidden, yaw, cid, config)
 
     def test_bad_yaw_rejected(self):
         ds, meta = generate(two_cluster_config(40))
