@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# Byte-identity check of the command line against another revision.
+#
+#   scripts/byte_identity.sh REV [WORKDIR]
+#
+# Exports `src/` at REV with `git archive` (the repository itself is left
+# untouched), runs the same commands once with that library and once with
+# this working tree's `src/`, each into its own output tree, and compares
+# the two trees with `diff -r`.  Every file a command writes and every
+# command's stdout is compared.  Exits 0 when nothing differs, 1 otherwise.
+# WORKDIR defaults to a new temporary directory and is kept for inspection.
+#
+# Commands: gen (M=400, seed 5); train rec and class at --workers 1 and 2;
+# predict with the rec forest and with the class forest under both
+# selectors; eval of the same three in records (with --out) and table
+# formats; compare with records, curve files and the table at --workers 1
+# and 2.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 REV [WORKDIR]" >&2
+    exit 2
+fi
+rev=$1
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+work=${2:-$(mktemp -d)}
+mkdir -p "$work/base"
+git -C "$repo" archive "$rev" src | tar -x -C "$work/base"
+
+run_all() {  # run_all SRC_DIR OUT_DIR
+    local src=$1 out=$2 w sel
+    rm -rf "$out"
+    mkdir -p "$out"
+    cli() { PYTHONPATH="$src" python3 -m recforest.cli "$@"; }
+    cli gen --out "$out/data" --m 400 --seed 5 > "$out/gen.txt"
+    for w in 1 2; do
+        cli train --data "$out/data" --out "$out/rec-w$w.json" \
+            --workers "$w" > "$out/train-rec-w$w.txt"
+        cli train --data "$out/data" --out "$out/class-w$w.json" \
+            --method class --workers "$w" > "$out/train-class-w$w.txt"
+    done
+    cli predict --forest "$out/rec-w1.json" --data "$out/data" \
+        --out "$out/predict-rec.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data" \
+        --format records --out "$out/eval-rec.json" > "$out/eval-rec.txt"
+    cli eval --forest "$out/rec-w1.json" --data "$out/data" \
+        > "$out/eval-rec-table.txt"
+    for sel in top-vote posterior-rating; do
+        cli predict --forest "$out/class-w1.json" --data "$out/data" \
+            --selector "$sel" --out "$out/predict-class-$sel.json" > /dev/null
+        cli eval --forest "$out/class-w1.json" --data "$out/data" \
+            --selector "$sel" --format records \
+            --out "$out/eval-class-$sel.json" > "$out/eval-class-$sel.txt"
+        cli eval --forest "$out/class-w1.json" --data "$out/data" \
+            --selector "$sel" > "$out/eval-class-$sel-table.txt"
+    done
+    for w in 1 2; do
+        cli compare --data "$out/data" --out "$out/compare-w$w" \
+            --workers "$w" > "$out/compare-w$w.txt"
+    done
+}
+
+run_all "$work/base/src" "$work/base-out"
+run_all "$repo/src" "$work/head-out"
+if diff -r "$work/base-out" "$work/head-out"; then
+    echo "byte identity: no difference between $rev and the working tree" \
+         "($(find "$work/head-out" -type f | wc -l) files, in $work)"
+else
+    echo "byte identity: outputs differ from $rev (see $work)" >&2
+    exit 1
+fi

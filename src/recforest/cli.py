@@ -24,6 +24,7 @@ from .data import (
     _is_int,
     _is_list_of,
     _is_number,
+    _read_json,
     load_dataset,
     load_metadata,
     save_dataset,
@@ -74,11 +75,7 @@ def _resolve_workers(value):
 def _read_config(path):
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError("unparseable config file %s: %s" % (path, exc))
+    doc = _read_json(path, "config file %s" % path)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     return doc

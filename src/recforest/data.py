@@ -280,6 +280,16 @@ def _is_list_of(is_item, value):
     return isinstance(value, list) and all(is_item(v) for v in value)
 
 
+def _read_json(path, what):
+    """Parse a JSON file; text that is not JSON, not UTF-8 or nested too
+    deeply for the parser raises SchemaError naming `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
+
+
 def _float_array(value, shape, what):
     try:
         arr = np.asarray(value, dtype=np.float64)
@@ -291,11 +301,7 @@ def _float_array(value, shape, what):
 
 def load_dataset(path) -> ResponseDataset:
     """Load and validate a dataset file, naming the first violated invariant."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError("unparseable dataset file: %s" % exc) from exc
+    doc = _read_json(path, "dataset file")
     _require(isinstance(doc, dict), "dataset document must be an object")
     _require(_is_int(doc.get("formatVersion"))
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
@@ -383,11 +389,7 @@ def save_metadata(yaw, cluster_id, path, cluster_centers=None):
 
 def load_metadata(path):
     """Returns (yaw, cluster_id, cluster_centers-or-None) arrays."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError("unparseable metadata file: %s" % exc) from exc
+    doc = _read_json(path, "metadata file")
     _require(isinstance(doc, dict), "metadata document must be an object")
     _require(_is_int(doc.get("formatVersion"))
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,

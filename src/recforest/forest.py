@@ -274,7 +274,13 @@ class _RecCriterion:
 
 
 def _grow_tree(criterion, features, idx, config, rng):
-    """Grow one tree over the sample multiset `idx`; returns (root, counters).
+    """Grow one tree over the sample multiset `idx` as a generator.
+
+    Each node that evaluates candidates yields one request, the stacked
+    `mask_stats` of every candidate's left child then every candidate's
+    right child, and expects the criterion's `fit_batch` result for it sent
+    back; `_grow_lockstep` answers the requests of many trees with one
+    `fit_batch`.  The generator returns (root, counters).
 
     Leaves hold the criterion's fitted payload as `Leaf.rating`: a simplex
     rating for the recommendation criterion, the class posterior for the
@@ -283,7 +289,11 @@ def _grow_tree(criterion, features, idx, config, rng):
     Candidate features are drawn without replacement, thresholds uniformly
     inside each feature's node range; the best candidate wins by gain with
     ties to the earliest candidate.  RNG is consumed in depth-first node
-    order (node, then left subtree, then right subtree).
+    order (node, then left subtree, then right subtree), whatever the
+    order in which requests are answered.  A node with fewer than
+    2 * min_samples_per_leaf samples draws its candidates too, then becomes
+    a leaf without a request, since no split there could leave
+    min_samples_per_leaf samples on both sides.
     """
     counters = {"nodes": 0, "depth": 0}
     F = features.shape[1]
@@ -292,11 +302,11 @@ def _grow_tree(criterion, features, idx, config, rng):
         n_feats = int(math.ceil(math.sqrt(F)))
     n_feats = min(n_feats, F)
     n_thresh = config.candidate_threshold_count
+    Q = n_feats * n_thresh
 
-    def build(idx, depth, stats, fitted):
+    def build(idx, depth, weight, payload, total_cost):
         counters["nodes"] += 1
         counters["depth"] = max(counters["depth"], depth)
-        payload, total_cost = fitted
         if depth >= config.max_depth:
             return Leaf(rating=payload, sample_count=idx.size)
         feats = rng.choice(F, size=n_feats, replace=False)
@@ -304,22 +314,32 @@ def _grow_tree(criterion, features, idx, config, rng):
         lo = node_feats.min(axis=0)
         hi = node_feats.max(axis=0)
         taus = rng.uniform(lo[:, None], hi[:, None], size=(n_feats, n_thresh))
-        left_masks = (node_feats.T[:, None, :] <= taus[:, :, None]).reshape(
-            n_feats * n_thresh, idx.size
+        if idx.size < 2 * config.min_samples_per_leaf:
+            return Leaf(rating=payload, sample_count=idx.size)
+        left_masks = (node_feats.T[:, None, :] <= taus[:, :, None]).reshape(Q, idx.size)
+        request = tuple(
+            np.concatenate(pair) for pair in zip(
+                criterion.mask_stats(idx, left_masks),
+                criterion.mask_stats(idx, ~left_masks),
+            )
         )
-        stats_left = criterion.mask_stats(idx, left_masks)
-        stats_right = criterion.mask_stats(idx, ~left_masks)
-        pay_left, tot_left, feas_left = criterion.fit_batch(stats_left)
-        pay_right, tot_right, feas_right = criterion.fit_batch(stats_right)
-        feasible = feas_left & feas_right
+        # A suspended frame holds nothing of size (candidates x samples);
+        # the winning mask is recomputed below.
+        del node_feats, left_masks
+        payloads, totals, feasible = yield request
+        weights = criterion.weight(request)
+        del request
         with np.errstate(invalid="ignore"):
             gains = np.where(
-                feasible,
-                (total_cost - tot_left - tot_right) / criterion.weight(stats),
+                feasible[:Q] & feasible[Q:],
+                (total_cost - totals[:Q] - totals[Q:]) / weight,
                 -np.inf,
             )
         best = int(np.argmax(gains))
-        n_left = int(left_masks[best].sum())
+        f_pos, t_pos = divmod(best, n_thresh)
+        params = SplitParams(int(feats[f_pos]), float(taus[f_pos, t_pos]))
+        mask = features[idx, params.feature_index] <= params.threshold
+        n_left = int(mask.sum())
         n_right = idx.size - n_left
         if (
             not gains[best] > config.min_gain
@@ -327,23 +347,49 @@ def _grow_tree(criterion, features, idx, config, rng):
             or n_right < config.min_samples_per_leaf
         ):
             return Leaf(rating=payload, sample_count=idx.size)
-        f_pos, t_pos = divmod(best, n_thresh)
-        params = SplitParams(int(feats[f_pos]), float(taus[f_pos, t_pos]))
-        row = lambda s, i: tuple(part[i] for part in s)
-        mask = left_masks[best]
-        left = build(
-            idx[mask], depth + 1, row(stats_left, best),
-            (pay_left[best], tot_left[best]),
-        )
-        right = build(
-            idx[~mask], depth + 1, row(stats_right, best),
-            (pay_right[best], tot_right[best]),
-        )
-        return Split(params=params, gain=float(gains[best]), left=left, right=right)
+        gain = float(gains[best])
+        left_fit = (weights[best], payloads[best].copy(), totals[best])
+        right_fit = (weights[Q + best], payloads[Q + best].copy(), totals[Q + best])
+        del payloads, totals, feasible, weights, gains
+        left = yield from build(idx[mask], depth + 1, *left_fit)
+        right = yield from build(idx[~mask], depth + 1, *right_fit)
+        return Split(params=params, gain=gain, left=left, right=right)
 
     stats0 = criterion.node_stats(idx)
-    fit0 = criterion.fit(stats0)
-    return build(idx, 0, stats0, fit0), counters
+    root = yield from build(idx, 0, criterion.weight(stats0), *criterion.fit(stats0))
+    return root, counters
+
+
+def _grow_lockstep(criterion, growers):
+    """Run `_grow_tree` generators together; returns their (root, counters).
+
+    Each step answers every live tree's pending request with one
+    `criterion.fit_batch` over the requests concatenated in tree order.
+    The fit of a row depends only on that row, so each tree comes out as
+    if grown alone.
+    """
+    results = [None] * len(growers)
+    pending = {}
+
+    def advance(i, reply):
+        try:
+            pending[i] = growers[i].send(reply)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(growers)):
+        advance(i, None)
+    while pending:
+        live = sorted(pending)
+        requests = [pending.pop(i) for i in live]
+        bounds = np.cumsum([0] + [len(r[0]) for r in requests])
+        merged = tuple(np.concatenate(parts) for parts in zip(*requests))
+        del requests
+        payloads, totals, feasible = criterion.fit_batch(merged)
+        del merged
+        for i, lo, hi in zip(live, bounds[:-1], bounds[1:]):
+            advance(i, (payloads[lo:hi], totals[lo:hi], feasible[lo:hi]))
+    return results
 
 
 def bootstrap_indices(config: RecTrainConfig, sample_count: int, rng):
@@ -367,37 +413,56 @@ def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
     config.validate()
     criterion = _RecCriterion(dataset)
     idx = np.arange(dataset.sample_count, dtype=np.int64)
-    root, _ = _grow_tree(criterion, dataset.features, idx, config, rng)
+    grower = _grow_tree(criterion, dataset.features, idx, config, rng)
+    [(root, _)] = _grow_lockstep(criterion, [grower])
     return root
 
 
-def _tree_task(criterion, features, config, tree_index):
-    rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", tree_index))
-    idx = bootstrap_indices(config, features.shape[0], rng)
+def _tree_task(criterion, features, config, tree_indices):
+    """Grow the trees `tree_indices` in lockstep in this process.
+
+    Returns ([(root, counters)], elapsed seconds for the whole chunk).
+    """
     start = time.perf_counter()
-    root, counters = _grow_tree(criterion, features, idx, config, rng)
-    elapsed = time.perf_counter() - start
-    return root, counters["depth"], counters["nodes"], elapsed
+    growers = []
+    for t in tree_indices:
+        rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", t))
+        idx = bootstrap_indices(config, features.shape[0], rng)
+        growers.append(_grow_tree(criterion, features, idx, config, rng))
+    results = _grow_lockstep(criterion, growers)
+    return results, time.perf_counter() - start
 
 
 def _run_tree_tasks(criterion, features, config, workers):
     """Grow the forest's trees, in order, optionally across processes.
 
-    The criterion is built once per forest; a pool task pickles only it,
-    the features and the config.  The reduction is ordered by tree index,
-    so results are identical for any worker count.
+    The criterion is built once per forest.  Trees grow in lockstep (see
+    `_grow_lockstep`): in one process all of them, with `workers > 1` a
+    fixed contiguous chunk of tree indices per worker, so the pool gets one
+    task per worker and pickles the criterion, the features and the config
+    once per worker.  Each tree keeps its own RNG stream and draw order,
+    and the reduction is ordered by tree index, so results are identical
+    for any worker count.  Elapsed time is logged once per chunk, since
+    the trees of a chunk grow together.
     """
-    indices = range(config.tree_count)
-    if workers <= 1:
-        results = [_tree_task(criterion, features, config, t) for t in indices]
+    workers = max(1, min(workers, config.tree_count))
+    indices = np.arange(config.tree_count)
+    chunks = [c.tolist() for c in np.array_split(indices, workers)]
+    if workers == 1:
+        outputs = [_tree_task(criterion, features, config, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, config.tree_count)) as pool:
-            futures = [pool.submit(_tree_task, criterion, features, config, t)
-                       for t in indices]
-            results = [f.result() for f in futures]
-    for t, (_, depth, nodes, elapsed) in enumerate(results):
-        logger.info("tree=%d depth=%d nodes=%d elapsed=%.3fs", t, depth, nodes, elapsed)
-    return [r[0] for r in results]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_tree_task, criterion, features, config, chunk)
+                       for chunk in chunks]
+            outputs = [f.result() for f in futures]
+    trees = []
+    for chunk, (results, elapsed) in zip(chunks, outputs):
+        for t, (root, counters) in zip(chunk, results):
+            logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
+                        counters["nodes"])
+            trees.append(root)
+        logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], elapsed)
+    return trees
 
 
 def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
@@ -405,8 +470,10 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
     """Train a recommendation forest.
 
     Tree t draws its bootstrap multiset and split candidates from the stream
-    seeded by derive_seed(config.rng_seed, "tree", t), so forests are
-    reproducible bit for bit regardless of `workers`.
+    seeded by derive_seed(config.rng_seed, "tree", t), in the same order as
+    if grown alone.  The trees of one process grow in lockstep, sharing one
+    simplex solve per step, and `workers > 1` gives each worker one chunk
+    of trees.  Forests are reproducible bit for bit regardless of `workers`.
     """
     config.validate()
     if not dataset.visible.any():

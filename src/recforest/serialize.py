@@ -21,6 +21,7 @@ from .data import (
     _atomic_write_text,
     _is_int,
     _is_number,
+    _read_json,
     _require,
 )
 from .forest import Leaf, RecForest, Split, SplitParams
@@ -104,11 +105,7 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
 
 def load_forest(path):
     """Read a forest file back; returns RecForest or ClassForest by kind."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("unparseable forest file: %s" % exc)
+    payload = _read_json(path, "forest file")
     _require(isinstance(payload, dict), "forest file must hold an object")
     _require(
         _is_int(payload.get("formatVersion"))

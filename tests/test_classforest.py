@@ -1,6 +1,7 @@
 """Classification-forest baseline: labels, entropy, both inference modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,39 @@ def _leaf_forest(proto, posterior, gamma=0.5):
         protocol=proto,
         gamma=gamma,
     )
+
+
+class TestLockstep:
+    CONFIG = RecTrainConfig(tree_count=5, max_depth=5, min_samples_per_leaf=4,
+                            rng_seed=5)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tree_does_not_depend_on_batch_mates(self, workers, fraction):
+        ds = random_dataset(np.random.default_rng(23), M=60)
+        labels = derive_labels(ds)
+        config = replace(self.CONFIG, bootstrap_fraction=fraction)
+        five = train_class_forest(ds, labels, config, workers=workers).trees
+        two = train_class_forest(
+            ds, labels, replace(config, tree_count=2), workers=workers
+        ).trees
+        assert two == five[:2]
+
+    def test_no_stats_at_small_nodes(self, monkeypatch):
+        from recforest import classforest as module
+
+        real_stats = module._ClassCriterion.mask_stats
+        sizes = []
+
+        def recording(self, idx, masks):
+            sizes.append(idx.size)
+            return real_stats(self, idx, masks)
+
+        monkeypatch.setattr(module._ClassCriterion, "mask_stats", recording)
+        ds = random_dataset(np.random.default_rng(29), M=80)
+        train_class_forest(ds, derive_labels(ds), self.CONFIG)
+        assert sizes
+        assert min(sizes) >= 2 * self.CONFIG.min_samples_per_leaf
 
 
 class TestTopVote:

@@ -341,6 +341,50 @@ class TestCompare:
         assert "unknown strategy" in capsys.readouterr().err
 
 
+def _split_chain(depth, leaf):
+    """Forest-file text of a tree whose left spine is `depth` splits deep."""
+    split = ('{"type": "split", "featureIndex": 0, "threshold": 0.5, '
+             '"gain": 0.1, "right": %s, "left": ' % leaf)
+    return split * depth + leaf + "}" * depth
+
+
+class TestDeepJson:
+    """Nesting too deep for the JSON parser is a malformed file, not a crash."""
+
+    @pytest.mark.parametrize("reader", ["dataset", "metadata", "forest", "config"])
+    def test_deeply_nested_file_fails_cleanly(self, tmp_path, capsys, reader):
+        data = _gen(tmp_path)
+        forest = _train(tmp_path, data)
+        argv = ["predict", "--forest", forest, "--data", data,
+                "--out", str(tmp_path / "p.json")]
+        if reader == "dataset":
+            with open(os.path.join(data, "dataset.json"), "w") as fh:
+                fh.write("[" * 100_000 + "]" * 100_000)
+        elif reader == "metadata":
+            with open(os.path.join(data, "metadata.json"), "w") as fh:
+                fh.write("[" * 100_000 + "]" * 100_000)
+            argv = ["compare", "--data", data, "--folds", "2", "--trees", "1"]
+        elif reader == "forest":
+            doc = json.loads(open(forest).read())
+            tree = doc["trees"][0]
+            while tree["type"] == "split":
+                tree = tree["left"]
+            doc["trees"] = ["TREE"]
+            text = json.dumps(doc).replace('"TREE"', _split_chain(3000, json.dumps(tree)))
+            with open(forest, "w") as fh:
+                fh.write(text)
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text('{"a": ' * 50_000 + "1" + "}" * 50_000)
+            argv = ["train", "--data", data, "--out", str(tmp_path / "f.json"),
+                    "--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unparseable ")
+        assert "Traceback" not in err
+
+
 class TestWorkersEnv:
     def test_env_sets_default(self, tmp_path, monkeypatch, capsys):
         data = _gen(tmp_path)

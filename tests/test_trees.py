@@ -1,6 +1,7 @@
 """Recommendation-tree training: costs, split gains, growth, determinism."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,72 @@ class TestTrainForest:
         draw = bootstrap_indices(config, 10, np.random.default_rng(0))
         assert draw.shape == (5,)
         assert draw.min() >= 0 and draw.max() < 10
+
+
+class TestLockstep:
+    """The trees of one process grow together, sharing each simplex solve."""
+
+    CONFIG = RecTrainConfig(tree_count=5, max_depth=5, min_samples_per_leaf=4,
+                            rng_seed=5)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tree_does_not_depend_on_batch_mates(self, workers, fraction):
+        ds = random_dataset(np.random.default_rng(23), M=60)
+        config = replace(self.CONFIG, bootstrap_fraction=fraction)
+        five = train_forest(ds, config, workers=workers).trees
+        two = train_forest(ds, replace(config, tree_count=2), workers=workers).trees
+        assert two == five[:2]
+
+    def test_forest_trees_equal_trees_grown_alone(self):
+        ds = random_dataset(np.random.default_rng(23), M=60)
+        forest = train_forest(ds, self.CONFIG)
+        for t, tree in enumerate(forest.trees):
+            rng = np.random.default_rng(derive_seed(self.CONFIG.rng_seed, "tree", t))
+            assert train_tree(ds, self.CONFIG, rng) == tree
+
+    def test_fewer_solves_and_no_stats_at_small_nodes(self, monkeypatch):
+        from recforest import forest as module
+
+        real_solve = module.solve_gram_batch
+        real_stats = module._RecCriterion.mask_stats
+        calls = []
+        sizes = []
+
+        def counting(G, h, **kwargs):
+            calls.append(len(h))
+            return real_solve(G, h, **kwargs)
+
+        def recording(self, idx, masks):
+            sizes.append(idx.size)
+            return real_stats(self, idx, masks)
+
+        monkeypatch.setattr(module, "solve_gram_batch", counting)
+        monkeypatch.setattr(module._RecCriterion, "mask_stats", recording)
+        ds = random_dataset(np.random.default_rng(29), M=80)
+        config = replace(self.CONFIG, tree_count=4)
+        forest = train_forest(ds, config)
+        together = len(calls)
+        calls.clear()
+        alone = [
+            train_tree(ds, config, np.random.default_rng(
+                derive_seed(config.rng_seed, "tree", t)))
+            for t in range(config.tree_count)
+        ]
+        assert alone == forest.trees
+        assert together < len(calls)
+        assert min(sizes) >= 2 * config.min_samples_per_leaf
+        # nodes the cut applies to did occur: leaves above max_depth that
+        # hold fewer than 2 * min_samples_per_leaf samples
+        small = []
+        stack = [(root, 0) for root in forest.trees]
+        while stack:
+            node, depth = stack.pop()
+            if isinstance(node, Split):
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+            elif depth < config.max_depth:
+                small.append(node.sample_count < 2 * config.min_samples_per_leaf)
+        assert any(small)
 
 
 def _train_error(forest, ds):
