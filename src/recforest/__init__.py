@@ -37,9 +37,6 @@ from .forest import (
     aggregate_rating,
     blend_prediction,
     calibrate_gamma,
-    evaluate_split,
-    fit_node_rating,
-    node_cost,
     predict,
     predict_many,
     train_forest,
@@ -98,16 +95,13 @@ __all__ = [
     "derive_labels",
     "derive_seed",
     "entropy",
-    "evaluate_split",
     "face_template",
-    "fit_node_rating",
     "format_comparison",
     "generate",
     "load_dataset",
     "load_forest",
     "load_metadata",
     "metadata_arrays",
-    "node_cost",
     "oracle_solve",
     "predict",
     "predict_many",

@@ -21,6 +21,7 @@ across workers.
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -146,29 +147,27 @@ class ResponseDataset:
         C = self.protocol.model_count
         N = self.protocol.landmark_count
         F = self.protocol.feature_count
-        if self.responses.ndim != 4 or self.responses.shape[1:] != (C, N, 2):
-            raise SchemaError("responses shape mismatch: %r" % (self.responses.shape,))
-        M = self.responses.shape[0]
-        if self.ground_truth.shape != (M, N, 2):
-            raise SchemaError(
-                "ground truth shape mismatch: %r" % (self.ground_truth.shape,)
-            )
-        if self.visible.shape != (M, N):
-            raise SchemaError("visibility shape mismatch: %r" % (self.visible.shape,))
-        if self.features.shape != (M, F):
-            raise SchemaError("features shape mismatch: %r" % (self.features.shape,))
-        if self.normalizer.shape != (M,):
-            raise SchemaError(
-                "normalizer shape mismatch: %r" % (self.normalizer.shape,)
-            )
-        if not np.all(np.isfinite(self.responses)):
-            raise SchemaError("non-finite value in responses")
-        if not np.all(np.isfinite(self.ground_truth[self.visible])):
-            raise SchemaError("non-finite ground truth at a visible landmark")
-        if not np.all(np.isfinite(self.features)):
-            raise SchemaError("non-finite value in features")
-        if not np.all(np.isfinite(self.normalizer)) or np.any(self.normalizer <= 0):
-            raise SchemaError("normalizer must be positive and finite")
+        lead = self.responses.shape[:1]  # (M,), or () if responses is a scalar
+        for what, arr, shape in (
+            ("responses", self.responses, lead + (C, N, 2)),
+            ("ground truth", self.ground_truth, lead + (N, 2)),
+            ("visibility", self.visible, lead + (N,)),
+            ("features", self.features, lead + (F,)),
+            ("normalizer", self.normalizer, lead),
+        ):
+            if arr.shape != shape:
+                raise SchemaError("%s shape mismatch: %r" % (what, arr.shape))
+        finite_gt = np.isfinite(self.ground_truth).all(axis=2) | ~self.visible
+        for ok, what in (
+            (np.isfinite(self.responses).all(axis=(1, 2, 3)), "non-finite response"),
+            (finite_gt.all(axis=1), "non-finite ground truth at a visible landmark"),
+            (np.isfinite(self.features).all(axis=1), "non-finite feature score"),
+            (np.isfinite(self.normalizer) & (self.normalizer > 0),
+             "normalizer must be positive and finite"),
+        ):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise SchemaError("sample %d: %s" % (bad[0], what))
 
     @property
     def sample_count(self) -> int:
@@ -230,34 +229,28 @@ def _atomic_write_text(path, text: str):
     os.replace(tmp, path)
 
 
+_SAMPLE_KEYS = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")
+
+
 def save_dataset(dataset: ResponseDataset, path):
     """Serialize a dataset to a single JSON document.
 
     Floats round-trip exactly (shortest decimal repr); ground truth outside
     the visible set is written as NaN.
     """
-    M = dataset.sample_count
     gt = dataset.ground_truth.copy()
     gt[~dataset.visible] = np.nan
-    samples = []
-    for m in range(M):
-        samples.append(
-            {
-                "responses": dataset.responses[m].tolist(),
-                "groundTruth": gt[m].tolist(),
-                "visibilitySet": np.nonzero(dataset.visible[m])[0].tolist(),
-                "features": dataset.features[m].tolist(),
-                "normalizer": float(dataset.normalizer[m]),
-            }
-        )
+    columns = zip(dataset.responses.tolist(), gt.tolist(),
+                  [np.flatnonzero(row).tolist() for row in dataset.visible],
+                  dataset.features.tolist(), dataset.normalizer.tolist())
     doc = {
         "formatVersion": DATASET_FORMAT_VERSION,
-        "sampleCount": M,
+        "sampleCount": dataset.sample_count,
         "modelCount": dataset.model_count,
         "landmarkCount": dataset.landmark_count,
         "featureCount": dataset.feature_count,
         "masks": dataset.protocol.masks.astype(int).tolist(),
-        "samples": samples,
+        "samples": [dict(zip(_SAMPLE_KEYS, values)) for values in columns],
     }
     _atomic_write_text(path, json.dumps(doc))
 
@@ -290,17 +283,46 @@ def _read_json(path, what):
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
 
 
+_JSON_NUMBER_TYPES = {int, float, type(None)}
+
+
 def _float_array(value, shape, what):
+    """A parsed JSON array of `shape` as float64.  Type rule: every entry is
+    a JSON number or `null` (read as NaN); strings, booleans, objects, ragged
+    nesting and numbers too large for a float raise SchemaError."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("%s is not numeric: %s" % (what, exc)) from exc
-    _require(arr.shape == shape, "%s shape mismatch" % what)
-    return arr
+    _require(arr.shape == shape or arr.size == 0 and 0 in shape,
+             "%s shape mismatch" % what)
+    # The shape matched, so `value` is lists nested regularly down to
+    # scalars; numpy also converts "0.5" and true, so check each scalar.
+    leaves = value
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    _require(set(map(type, leaves)) <= _JSON_NUMBER_TYPES,
+             "%s must hold only numbers and nulls" % what)
+    return arr.reshape(shape)
+
+
+def _read_protocol(masks) -> ModelProtocol:
+    """ModelProtocol from a parsed `masks` value, which must be a regular
+    list of lists of the JSON integers 0 and 1."""
+    _require(_is_list_of(lambda row: _is_list_of(_is_int, row), masks)
+             and {v for row in masks for v in row} <= {0, 1}
+             and len({len(row) for row in masks}) <= 1,
+             "masks must be a regular list of lists of 0/1 integers")
+    return ModelProtocol(np.array(masks, dtype=bool))
 
 
 def load_dataset(path) -> ResponseDataset:
-    """Load and validate a dataset file, naming the first violated invariant."""
+    """Load and validate a dataset file, naming the first violated invariant.
+
+    Counts, `masks` entries and `visibilitySet` indices must be JSON integers,
+    and numeric array entries JSON numbers or `null` (NaN), never strings or
+    booleans.  `ResponseDataset` checks the values (finiteness, normalizer).
+    """
     doc = _read_json(path, "dataset file")
     _require(isinstance(doc, dict), "dataset document must be an object")
     _require(_is_int(doc.get("formatVersion"))
@@ -313,58 +335,38 @@ def load_dataset(path) -> ResponseDataset:
         _require(_is_int(doc[key]) and doc[key] >= 0,
                  "%s must be a nonnegative integer: %r" % (key, doc[key]))
     M, C, N, F = (doc[k] for k in counts)
-    _require(isinstance(doc["samples"], list), "samples must be a list")
-    masks = np.asarray(doc["masks"])
-    _require(masks.shape == (C, N), "masks shape does not match header C, N")
-    try:
-        protocol = ModelProtocol(masks)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    samples = doc["samples"]
+    _require(isinstance(samples, list), "samples must be a list")
+    protocol = _read_protocol(doc["masks"])
+    _require(protocol.masks.shape == (C, N), "masks shape does not match header C, N")
     _require(protocol.feature_count == F,
              "featureCount header disagrees with masks: %d != %d"
              % (F, protocol.feature_count))
-    _require(len(doc["samples"]) == M,
+    _require(len(samples) == M,
              "sampleCount header disagrees with record count: %d != %d"
-             % (M, len(doc["samples"])))
+             % (M, len(samples)))
 
-    responses = np.empty((M, C, N, 2))
-    ground_truth = np.full((M, N, 2), np.nan)
     visible = np.zeros((M, N), dtype=bool)
-    features = np.empty((M, F))
-    normalizer = np.empty(M)
-    for m, rec in enumerate(doc["samples"]):
+    for m, rec in enumerate(samples):
         _require(isinstance(rec, dict), "sample %d is not an object" % m)
-        resp = _float_array(rec.get("responses"), (C, N, 2), "sample %d responses" % m)
-        _require(bool(np.all(np.isfinite(resp))),
-                 "sample %d has a non-finite response" % m)
-        gt = _float_array(rec.get("groundTruth"), (N, 2), "sample %d ground truth" % m)
-        vis_list = rec.get("visibilitySet")
-        _require(isinstance(vis_list, list), "sample %d missing visibilitySet" % m)
-        for n in vis_list:
+        vis = rec.get("visibilitySet")
+        _require(isinstance(vis, list), "sample %d missing visibilitySet" % m)
+        for n in vis:
             _require(_is_int(n) and 0 <= n < N,
                      "sample %d: visibility index out of range: %r" % (m, n))
-        vis = np.zeros(N, dtype=bool)
-        vis[vis_list] = True
-        _require(bool(np.all(np.isfinite(gt[vis]))),
-                 "sample %d has non-finite ground truth at a visible landmark" % m)
-        feat = _float_array(rec.get("features"), (F,), "sample %d features" % m)
-        _require(bool(np.all(np.isfinite(feat))),
-                 "sample %d has a non-finite feature score" % m)
-        norm = rec.get("normalizer")
-        _require(_is_number(norm) and np.isfinite(norm) and norm > 0,
-                 "sample %d normalizer must be positive: %r" % (m, norm))
-        responses[m] = resp
-        ground_truth[m] = gt
-        visible[m] = vis
-        features[m] = feat
-        normalizer[m] = norm
+        visible[m, vis] = True
+
+    def column(key, shape):
+        return _float_array([rec.get(key) for rec in samples], (M,) + shape,
+                            "sample %s" % key)
+
     return ResponseDataset(
         protocol=protocol,
-        responses=responses,
-        ground_truth=ground_truth,
+        responses=column("responses", (C, N, 2)),
+        ground_truth=column("groundTruth", (N, 2)),
         visible=visible,
-        features=features,
-        normalizer=normalizer,
+        features=column("features", (F,)),
+        normalizer=column("normalizer", ()),
     )
 
 
@@ -400,8 +402,11 @@ def load_metadata(path):
     _require(_is_list_of(_is_int, cluster_id),
              "metadata clusterId must list integers")
     _require(len(yaw) == len(cluster_id), "metadata arrays malformed")
-    if centers is not None:
-        _require(_is_list_of(_is_number, centers), "clusterCenters malformed")
-        centers = np.asarray(centers, dtype=np.float64)
-    return (np.asarray(yaw, dtype=np.float64),
-            np.asarray(cluster_id, dtype=np.int64), centers)
+    _require(centers is None or _is_list_of(_is_number, centers),
+             "clusterCenters malformed")
+    try:
+        return (np.asarray(yaw, dtype=np.float64),
+                np.asarray(cluster_id, dtype=np.int64),
+                None if centers is None else np.asarray(centers, dtype=np.float64))
+    except OverflowError as exc:
+        raise SchemaError("metadata value out of range: %s" % exc) from exc

@@ -11,17 +11,17 @@ complete or not at all.
 """
 
 import json
-
-import numpy as np
+import sys
 
 from .classforest import ClassForest
 from .data import (
-    ModelProtocol,
     SchemaError,
     _atomic_write_text,
+    _float_array,
     _is_int,
     _is_number,
     _read_json,
+    _read_protocol,
     _require,
 )
 from .forest import Leaf, RecForest, Split, SplitParams
@@ -67,6 +67,11 @@ def save_forest(forest, path) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
+def _is_finite_number(value):
+    """A JSON number that is finite as a float64 (huge integers are not)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _node_from_obj(obj, rating_key, feature_count, model_count):
     _require(isinstance(obj, dict), "tree node must be an object")
     kind = obj.get("type")
@@ -75,11 +80,9 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
         _require(_is_int(fi) and 0 <= fi < feature_count,
                  "split featureIndex out of range")
         tau = obj.get("threshold")
-        _require(_is_number(tau) and np.isfinite(tau),
-                 "split threshold must be finite")
+        _require(_is_finite_number(tau), "split threshold must be finite")
         gain = obj.get("gain")
-        _require(_is_number(gain) and np.isfinite(gain),
-                 "split gain must be finite")
+        _require(_is_finite_number(gain), "split gain must be finite")
         _require("left" in obj and "right" in obj, "split missing a child")
         return Split(
             params=SplitParams(feature_index=fi, threshold=float(tau)),
@@ -88,17 +91,13 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
             right=_node_from_obj(obj["right"], rating_key, feature_count, model_count),
         )
     if kind == "leaf":
-        vec = obj.get(rating_key)
-        _require(
-            isinstance(vec, list) and len(vec) == model_count,
-            "leaf %s must list one weight per model" % rating_key,
-        )
+        vec = _float_array(obj.get(rating_key), (model_count,), "leaf " + rating_key)
         count = obj.get("sampleCount")
         _require(_is_int(count) and count >= 1,
                  "leaf sampleCount must be a positive integer")
         try:
-            return Leaf(rating=np.asarray(vec, dtype=np.float64), sample_count=count)
-        except (TypeError, ValueError) as exc:
+            return Leaf(rating=vec, sample_count=count)
+        except ValueError as exc:
             raise SchemaError("invalid leaf %s: %s" % (rating_key, exc))
     raise SchemaError("tree node type must be 'split' or 'leaf'")
 
@@ -113,18 +112,14 @@ def load_forest(path):
         "unsupported forest formatVersion",
     )
     kind = payload.get("kind")
-    _require(kind in _KIND_TO_KEY, "forest kind must be recommendation or classification")
+    _require(isinstance(kind, str) and kind in _KIND_TO_KEY,
+             "forest kind must be recommendation or classification")
     gamma = payload.get("gamma")
     _require(
         _is_number(gamma) and 0.0 <= gamma <= 1.0,
         "gamma must be in [0, 1]",
     )
-    masks = payload.get("masks")
-    _require(isinstance(masks, list) and masks, "masks must be a nonempty list")
-    try:
-        protocol = ModelProtocol(np.asarray(masks))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("invalid protocol masks: %s" % exc)
+    protocol = _read_protocol(payload.get("masks"))
     trees_obj = payload.get("trees")
     _require(isinstance(trees_obj, list) and trees_obj, "trees must be a nonempty list")
     key = _KIND_TO_KEY[kind]

@@ -149,6 +149,25 @@ class TestTrain:
         assert err.startswith("error: sampleCount")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["samples"][0]["features"].__setitem__(0, "0.5"),
+        lambda d: d["masks"][0].__setitem__(0, True),
+        lambda d: d["masks"][0].append(1),
+    ], ids=["string-feature-score", "bool-mask-entry", "ragged-masks"])
+    def test_wrong_json_type_fails_cleanly(self, tmp_path, capsys, mutate):
+        data = _gen(tmp_path)
+        path = os.path.join(data, "dataset.json")
+        doc = json.loads(open(path).read())
+        mutate(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["train", "--data", data, "--out", str(tmp_path / "f.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nowhere"),
                    "--out", str(tmp_path / "f.json")])

@@ -186,6 +186,15 @@ class TestDatasetLoadRejections:
             lambda d: d["samples"][1].update(normalizer=True),
             lambda d: d["samples"][1].update(responses={}),
             lambda d: d["samples"][2].update(features="high"),
+            lambda d: d["samples"][0]["responses"][0].__setitem__(1, [True, False]),
+            lambda d: d["samples"][1]["features"].__setitem__(0, "0.5"),
+            lambda d: d["samples"][0]["groundTruth"][
+                d["samples"][0]["visibilitySet"][0]].__setitem__(0, True),
+            lambda d: d["samples"][1].update(normalizer="1.5"),
+            lambda d: d.update(masks=[[bool(v) for v in row] for row in d["masks"]]),
+            lambda d: d["masks"][0].__setitem__(0, 1.0),
+            lambda d: d["masks"][0].append(1),
+            lambda d: d["samples"][2]["features"].__setitem__(0, 10 ** 400),
         ],
         ids=[
             "null-sample-count",
@@ -197,6 +206,14 @@ class TestDatasetLoadRejections:
             "bool-normalizer",
             "object-responses",
             "string-features",
+            "bool-response-pair",
+            "string-feature-score",
+            "bool-visible-ground-truth",
+            "string-normalizer",
+            "bool-masks",
+            "float-mask-entry",
+            "ragged-masks",
+            "huge-int-feature-score",
         ],
     )
     def test_wrong_json_types(self, tmp_path, mutate):
@@ -234,6 +251,9 @@ class TestMetadataSidecar:
             ("yaw", [-40.0, True, 62.5]),
             ("formatVersion", True),
             ("clusterCenters", [None, 1]),
+            ("yaw", [-40.0, 10 ** 400, 62.5]),
+            ("clusterId", [0, 2 ** 70, 2]),
+            ("clusterCenters", [10 ** 400, 40.0]),
         ],
     )
     def test_wrong_json_types(self, tmp_path, key, value):

@@ -1,0 +1,120 @@
+"""Loader fuzzing: a valid dataset, metadata or forest file with one value
+replaced.
+
+Any value at any depth, containers and the document itself included, is
+swapped for a random JSON value.  The loader must then either return or
+raise SchemaError; any other exception would reach the command line as a
+traceback.
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from recforest.data import (
+    SchemaError,
+    load_dataset,
+    load_metadata,
+    save_dataset,
+    save_metadata,
+)
+from recforest.serialize import load_forest
+
+from helpers import random_dataset
+from test_serialize import _valid_doc
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2 ** 1100), 2 ** 1100])  # too large for a float
+    | st.floats()  # NaN and +-inf included
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+FUZZ = settings(derandomize=True, max_examples=200, database=None, deadline=None)
+
+
+def _positions(value, path=()):
+    """Every position in a parsed JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _positions(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def dataset_doc(fuzz_dir):
+    path = fuzz_dir / "valid.json"
+    save_dataset(random_dataset(np.random.default_rng(0), M=2, C=2, N=3), path)
+    return json.loads(path.read_text())
+
+
+def _loads_or_rejects(load, doc, path):
+    """Write `doc` to `path` and load it; only SchemaError may escape."""
+    path.write_text(json.dumps(doc))
+    try:
+        load(path)
+    except SchemaError:
+        pass
+
+
+def test_unmodified_documents_load(fuzz_dir, dataset_doc):
+    assert load_dataset(fuzz_dir / "valid.json").sample_count == 2
+    path = fuzz_dir / "valid-forest.json"
+    path.write_text(json.dumps(_valid_doc()))
+    assert len(load_forest(path).trees) == 1
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES)
+def test_dataset_loader_raises_only_schema_errors(fuzz_dir, dataset_doc, data, value):
+    position = data.draw(st.sampled_from(list(_positions(dataset_doc))))
+    _loads_or_rejects(load_dataset, _replaced(dataset_doc, position, value),
+                      fuzz_dir / "dataset.json")
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES)
+def test_forest_loader_raises_only_schema_errors(fuzz_dir, data, value):
+    doc = _valid_doc()
+    position = data.draw(st.sampled_from(list(_positions(doc))))
+    _loads_or_rejects(load_forest, _replaced(doc, position, value),
+                      fuzz_dir / "forest.json")
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES)
+def test_metadata_loader_raises_only_schema_errors(fuzz_dir, data, value):
+    path = fuzz_dir / "metadata.json"
+    save_metadata([-40.0, 0.0, 62.5], [0, 1, 2], path, cluster_centers=[-40.0, 40.0])
+    doc = json.loads(path.read_text())
+    position = data.draw(st.sampled_from(list(_positions(doc))))
+    _loads_or_rejects(load_metadata, _replaced(doc, position, value), path)

@@ -117,6 +117,10 @@ class TestSchemaValidation:
             lambda d: d.update(trees="nope"),
             lambda d: d.update(formatVersion=True),
             lambda d: d.update(gamma=True),
+            lambda d: d.update(masks=[[True, True], [True, False]]),
+            lambda d: d.update(masks=[[1.0, 1], [1, 0]]),
+            lambda d: d.update(masks=[[1, 1], [1]]),
+            lambda d: d.update(kind=[]),
         ],
     )
     def test_header_rejections(self, tmp_path, mutate):
@@ -137,6 +141,7 @@ class TestSchemaValidation:
             lambda n: n.update(type="branch"),
             lambda n: n.update(featureIndex=True),
             lambda n: n.update(threshold=False),
+            lambda n: n.update(threshold=10 ** 400),  # too large for a float
         ],
     )
     def test_split_rejections(self, tmp_path, mutate):
@@ -156,6 +161,8 @@ class TestSchemaValidation:
             lambda leaf: leaf.update(sampleCount=0),
             lambda leaf: leaf.update(sampleCount=2.5),
             lambda leaf: leaf.update(sampleCount=True),
+            lambda leaf: leaf.update(rating=[True, False]),
+            lambda leaf: leaf.update(rating=["0.5", 0.5]),
         ],
     )
     def test_leaf_rejections(self, tmp_path, mutate):

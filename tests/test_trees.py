@@ -13,9 +13,6 @@ from recforest.forest import (
     Split,
     SplitParams,
     bootstrap_indices,
-    evaluate_split,
-    fit_node_rating,
-    node_cost,
     train_forest,
     train_tree,
 )
@@ -23,7 +20,7 @@ from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, oracle_solve, solve
 from recforest.synth import generate, metadata_arrays, two_cluster_config
 
-from helpers import random_dataset
+from helpers import evaluate_split, fit_node_rating, node_cost, random_dataset
 
 
 def tiny_dataset(responses, ground_truth, visible, masks, features=None):
