@@ -14,7 +14,9 @@
 # predict with the rec forest and with the class forest under both
 # selectors; eval of the same three in records (with --out) and table
 # formats; compare with records, curve files and the table at --workers 1
-# and 2.
+# and 2; compare with 4-tree forests on 60% bootstrap draws over 3 folds
+# (a --config file) at --workers 3, so every fold maps its draws onto
+# dataset rows.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -26,6 +28,8 @@ repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 work=${2:-$(mktemp -d)}
 mkdir -p "$work/base"
 git -C "$repo" archive "$rev" src | tar -x -C "$work/base"
+echo '{"train": {"bootstrap_fraction": 0.6, "tree_count": 4}, "fold_count": 3}' \
+    > "$work/compare-bootstrap.json"
 
 run_all() {  # run_all SRC_DIR OUT_DIR
     local src=$1 out=$2 w sel
@@ -58,6 +62,9 @@ run_all() {  # run_all SRC_DIR OUT_DIR
         cli compare --data "$out/data" --out "$out/compare-w$w" \
             --workers "$w" > "$out/compare-w$w.txt"
     done
+    cli compare --data "$out/data" --out "$out/compare-bootstrap-w3" \
+        --config "$work/compare-bootstrap.json" --workers 3 \
+        > "$out/compare-bootstrap-w3.txt"
 }
 
 run_all "$work/base/src" "$work/base-out"

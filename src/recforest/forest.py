@@ -353,50 +353,71 @@ def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
     return root
 
 
-def _tree_task(criterion, features, config, tree_indices):
-    """Grow the trees `tree_indices` in lockstep in this process.
+_shared = {}  # a pool worker's criteria and features, set by `_share`
 
-    Returns ([(root, counters)], elapsed seconds for the whole chunk).
+
+def _share(criteria, features):
+    """Pool initializer: the criteria and features of this worker's tasks."""
+    _shared.update(criteria=criteria, features=features)
+
+
+def _grow_chunk(criterion, features, config, rows, trees):
+    """Grow trees `trees` of one forest, over sample rows `rows`, in lockstep.
+
+    Tree t draws positions into `rows` from derive_seed(config.rng_seed,
+    "tree", t).  Returns ([(root, counters)], elapsed seconds for the chunk).
     """
     start = time.perf_counter()
     growers = []
-    for t in tree_indices:
+    for t in trees:
         rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", t))
-        idx = bootstrap_indices(config, features.shape[0], rng)
+        idx = rows[bootstrap_indices(config, rows.size, rng)]
         growers.append(_grow_tree(criterion, features, idx, config, rng))
     results = _grow_lockstep(criterion, growers)
     return results, time.perf_counter() - start
 
 
-def _run_tree_tasks(criterion, features, config, workers):
-    """Grow the forest's trees, in order, optionally across processes.
+def _shared_chunk(key, config, rows, trees):
+    """Pool task: `_grow_chunk` on the criterion `key` given to `_share`."""
+    return _grow_chunk(_shared["criteria"][key], _shared["features"], config, rows, trees)
 
-    The criterion is built once per forest.  Trees grow in lockstep (see
-    `_grow_lockstep`): in one process all of them, with `workers > 1` a
-    fixed contiguous chunk of tree indices per worker, so the pool gets one
-    task per worker and pickles the criterion, the features and the config
-    once per worker.  Each tree keeps its own RNG stream and draw order,
-    and the reduction is ordered by tree index, so results are identical
-    for any worker count.  Elapsed time is logged once per chunk, since
-    the trees of a chunk grow together.
+
+def _grow_forests(criteria, features, forests, workers):
+    """The trees of each forest, a (criterion key, config, rows) triple.
+
+    A forest grows on rows `rows` of `criteria[key]` and `features`, which
+    gives the forest trained on those rows alone, bit for bit.  Its trees
+    split into min(workers, tree_count) contiguous chunks, each grown in
+    lockstep; with `workers > 1` every chunk is a task of one pool whose
+    workers get the criteria and features once, at start-up.  Results come
+    back in forest and tree order, identical for any worker count.
     """
-    workers = max(1, min(workers, config.tree_count))
-    indices = np.arange(config.tree_count)
-    chunks = [c.tolist() for c in np.array_split(indices, workers)]
-    if workers == 1:
-        outputs = [_tree_task(criterion, features, config, chunks[0])]
+    tasks = [(f, key, config, rows, chunk.tolist())
+             for f, (key, config, rows) in enumerate(forests)
+             for chunk in np.array_split(np.arange(config.tree_count),
+                                         max(1, min(workers, config.tree_count)))]
+    if len(tasks) == len(forests):  # one chunk per forest: no pool
+        outputs = [_grow_chunk(criteria[key], features, config, rows, trees)
+                   for _, key, config, rows, trees in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_tree_task, criterion, features, config, chunk)
-                       for chunk in chunks]
-            outputs = [f.result() for f in futures]
-    trees = []
-    for chunk, (results, elapsed) in zip(chunks, outputs):
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
+                                 initargs=(criteria, features)) as pool:
+            futures = [pool.submit(_shared_chunk, *task[1:]) for task in tasks]
+            outputs = [future.result() for future in futures]
+    trees = [[] for _ in forests]
+    for (f, _, _, _, chunk), (results, elapsed) in zip(tasks, outputs):
         for t, (root, counters) in zip(chunk, results):
             logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
                         counters["nodes"])
-            trees.append(root)
+            trees[f].append(root)
         logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], elapsed)
+    return trees
+
+
+def _run_tree_tasks(criterion, features, config, workers):
+    """One forest's trees over every row of `criterion`, by `_grow_forests`."""
+    rows = np.arange(features.shape[0], dtype=np.int64)
+    [trees] = _grow_forests({"": criterion}, features, [("", config, rows)], workers)
     return trees
 
 
@@ -407,8 +428,9 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
     Tree t draws its bootstrap multiset and split candidates from the stream
     seeded by derive_seed(config.rng_seed, "tree", t), in the same order as
     if grown alone.  The trees of one process grow in lockstep, sharing one
-    simplex solve per step, and `workers > 1` gives each worker one chunk
-    of trees.  Forests are reproducible bit for bit regardless of `workers`.
+    simplex solve per step; `workers > 1` opens one pool whose workers get
+    the call's one criterion once and a chunk of trees each.  Forests are
+    reproducible bit for bit regardless of `workers`.
     """
     config.validate()
     if not dataset.visible.any():

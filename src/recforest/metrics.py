@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classforest import derive_labels, predict_posterior_rating_many, \
-    predict_top_vote_many, train_class_forest
+from .classforest import ClassForest, _ClassCriterion, derive_labels, \
+    predict_posterior_rating_many, predict_top_vote_many
 from .data import ResponseDataset
-from .forest import RecTrainConfig, accuracy_maximizing_threshold, \
-    blend_prediction, predict_many, train_forest
+from .forest import RecForest, RecTrainConfig, _grow_forests, _RecCriterion, \
+    accuracy_maximizing_threshold, blend_prediction, predict_many
 from .seeds import derive_seed
 
 STRATEGIES = (
@@ -185,17 +185,18 @@ def _strategy_outputs(strategy, dataset, idx, model, centers):
 
 
 def _sample_errors(landmarks, dataset, rows):
-    """Error of landmarks[i] against sample rows[i]; NaN for a sample with no
-    visible landmark."""
-    errors = np.full(len(rows), np.nan)
-    for i, m in enumerate(rows):
-        if dataset.visible[m].any():
-            errors[i] = sample_error(
-                landmarks[i],
-                dataset.ground_truth[m],
-                dataset.visible[m],
-                dataset.normalizer[m],
-            )
+    """`sample_error` of landmarks[i] against sample rows[i], bit for bit, one
+    group of samples per visible count; NaN for a sample with none visible."""
+    rows = np.asarray(rows, dtype=np.int64)
+    visible = dataset.visible[rows]
+    counts = visible.sum(axis=1)
+    errors = np.full(rows.size, np.nan)
+    for k in np.unique(counts[counts > 0]):
+        group = np.nonzero(counts == k)[0]
+        vis = visible[group]
+        diff = landmarks[group][vis] - dataset.ground_truth[rows[group]][vis]
+        d = np.linalg.norm(diff.reshape(group.size, k, 2), axis=2)
+        errors[group] = 100.0 * d.mean(axis=1) / dataset.normalizer[rows[group]]
     return errors
 
 
@@ -219,13 +220,45 @@ def _eval_report(errors, confidences, flags, visible):
     )
 
 
+def _train_folds(dataset, labels, config, workers):
+    """Per fold (test_idx, fit_idx, val_idx, fold training config, forests).
+
+    `forests` maps "rec-forest" and "class" to the forests the strategies
+    need, each the one trained on `dataset.subset(fit_idx)`, bit for bit.
+    One criterion of each kind and one `_grow_forests` call serve all folds.
+    """
+    fold = fold_assignment(dataset.sample_count, config.fold_count, config.rng_seed)
+    criteria = {}
+    if "rec-forest" in config.strategies:
+        criteria["rec-forest"] = _RecCriterion(dataset)
+    if {"top-vote", "posterior-rating"} & set(config.strategies):
+        criteria["class"] = _ClassCriterion(labels, dataset.model_count)
+    folds, jobs = [], []
+    for f in range(config.fold_count):
+        val_rng = np.random.default_rng(derive_seed(config.rng_seed, "val", f))
+        fit_idx, val_idx = _holdout_split(
+            np.nonzero(fold != f)[0], config.validation_fraction, val_rng
+        )
+        fold_train = replace(config.train, rng_seed=derive_seed(config.rng_seed, "train", f))
+        folds.append((np.nonzero(fold == f)[0], fit_idx, val_idx, fold_train))
+        jobs += [(key, fold_train, fit_idx) for key in criteria]
+    trees = iter(_grow_forests(criteria, dataset.features, jobs, workers))
+    kinds = {"rec-forest": RecForest, "class": ClassForest}
+    return [
+        split + ({key: kinds[key](next(trees), dataset.protocol) for key in criteria},)
+        for split in folds
+    ]
+
+
 def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1):
     """Cross-validated comparison of selection strategies.
 
     yaw and cluster_id are the generator metadata arrays; yaw feeds the
     noisy-prior baseline and cluster_id labels the classification forest.
     Returns {strategy: EvalReport} with errors pooled over every sample's
-    single test-fold appearance.
+    single test-fold appearance.  One criterion pair and, with
+    `workers > 1`, one pool serve every fold; its workers get the criteria
+    once.  Reports are identical at any worker count.
     """
     config.validate()
     M = dataset.sample_count
@@ -246,31 +279,16 @@ def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1)
         if centers.shape != (dataset.model_count,):
             raise ValueError("cluster_centers must list one center per model")
 
-    fold = fold_assignment(M, config.fold_count, config.rng_seed)
     N = dataset.landmark_count
     err = {s: np.full(M, np.nan) for s in config.strategies}
     conf_pool = {s: np.zeros((M, N)) for s in config.strategies}
     flag_pool = {s: np.zeros((M, N), dtype=bool) for s in config.strategies}
 
-    needs_cls = {"top-vote", "posterior-rating"} & set(config.strategies)
-    for f in range(config.fold_count):
-        test_idx = np.nonzero(fold == f)[0]
-        val_rng = np.random.default_rng(derive_seed(config.rng_seed, "val", f))
-        fit_idx, val_idx = _holdout_split(
-            np.nonzero(fold != f)[0], config.validation_fraction, val_rng
-        )
-        fit_ds = dataset.subset(fit_idx)
-        fold_seed = derive_seed(config.rng_seed, "train", f)
-        fold_train = replace(config.train, rng_seed=fold_seed)
-
+    folds = _train_folds(dataset, labels_all, config, workers)
+    for f, (test_idx, _, val_idx, _, forests) in enumerate(folds):
         # fixed-frontal is the prior baseline with every yaw estimate at 0
-        model = {"fixed-frontal": np.zeros(M)}
-        if "rec-forest" in config.strategies:
-            model["rec-forest"] = train_forest(fit_ds, fold_train, workers=workers)
-        if needs_cls:
-            model["top-vote"] = model["posterior-rating"] = train_class_forest(
-                fit_ds, labels_all[fit_idx], fold_train, workers=workers
-            )
+        model = {"fixed-frontal": np.zeros(M), "rec-forest": forests.get("rec-forest"),
+                 "top-vote": forests.get("class"), "posterior-rating": forests.get("class")}
         if "noisy-prior" in config.strategies:
             noise_rng = np.random.default_rng(
                 derive_seed(config.rng_seed, "noisy-prior", f)

@@ -31,6 +31,17 @@ def random_dataset(rng, M=12, C=3, N=5, full_cover=False):
     )
 
 
+def subset_rows(draw, M, seed=7):
+    """Rows of a cross-validation fold ("fold": sorted, distinct) or of a
+    bootstrap draw ("bootstrap": unsorted, with repeats)."""
+    rng = np.random.default_rng(seed)
+    if draw == "fold":
+        return np.sort(rng.choice(M, size=2 * M // 3, replace=False))
+    rows = rng.integers(0, M, size=M)
+    assert np.unique(rows).size < rows.size
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Node cost and rating fit, stacked-row form: a reference for the Gram
 # aggregates that training uses

@@ -8,6 +8,7 @@ import pytest
 
 from recforest.classforest import (
     ClassForest,
+    _ClassCriterion,
     derive_labels,
     entropy,
     predict_posterior_rating_many,
@@ -25,7 +26,7 @@ from recforest.forest import (
 )
 from recforest.synth import GenConfig, generate, metadata_arrays, two_cluster_config
 
-from helpers import random_dataset
+from helpers import random_dataset, subset_rows
 
 
 class TestEntropy:
@@ -240,6 +241,17 @@ class TestLockstep:
         train_class_forest(ds, derive_labels(ds), self.CONFIG)
         assert sizes
         assert min(sizes) >= 2 * self.CONFIG.min_samples_per_leaf
+
+
+@pytest.mark.parametrize("draw", ["fold", "bootstrap"])
+def test_subset_criterion_is_the_full_criterions_rows(draw):
+    """What lets one criterion serve every cross-validation fold."""
+    ds = random_dataset(np.random.default_rng(41), M=90)
+    labels = derive_labels(ds)
+    rows = subset_rows(draw, ds.sample_count)
+    full = _ClassCriterion(labels, ds.model_count)
+    part = _ClassCriterion(labels[rows], ds.model_count)
+    assert np.array_equal(part.one_hot, full.one_hot[rows])
 
 
 class TestTopVote:

@@ -1,15 +1,20 @@
 """Evaluation metrics and the cross-validated strategy comparison."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from recforest import classforest, forest
+from recforest.classforest import ClassForest, derive_labels, train_class_forest
 from recforest.data import ResponseDataset
-from recforest.forest import RecTrainConfig
+from recforest.forest import RecForest, RecTrainConfig, train_forest
 from recforest.metrics import (
     STRATEGIES,
     CompareConfig,
+    _sample_errors,
+    _train_folds,
     ced_curve,
     curve_lines,
     fold_assignment,
@@ -18,7 +23,14 @@ from recforest.metrics import (
     sample_error,
     visibility_scores,
 )
-from recforest.synth import GenConfig, generate, metadata_arrays, two_cluster_config
+from recforest.seeds import derive_seed
+from recforest.synth import (
+    GenConfig,
+    generate,
+    metadata_arrays,
+    preset_config,
+    two_cluster_config,
+)
 
 
 class TestSampleError:
@@ -53,6 +65,30 @@ class TestSampleError:
             sample_error(pred, pred, [True], 0.0)
         with pytest.raises(ValueError):
             sample_error(pred, pred, [True], float("nan"))
+
+
+def test_sample_errors_equal_sample_error_bit_for_bit():
+    ds, _ = generate(preset_config("aflw-like-5view", sample_count=300, rng_seed=3))
+    hidden = np.arange(ds.sample_count) % 50 == 7
+    visible = ds.visible & ~hidden[:, None]
+    ds = ResponseDataset(
+        protocol=ds.protocol,
+        responses=ds.responses,
+        ground_truth=np.where(visible[:, :, None], ds.ground_truth, np.nan),
+        visible=visible,
+        features=ds.features,
+        normalizer=ds.normalizer,
+    )
+    rows = np.random.default_rng(5).permutation(ds.sample_count)[:250]
+    landmarks = ds.responses[rows, 1]
+    expected = np.array([
+        sample_error(lm, ds.ground_truth[m], ds.visible[m], ds.normalizer[m])
+        if ds.visible[m].any() else np.nan
+        for lm, m in zip(landmarks, rows)
+    ])
+    assert np.isnan(expected).sum() == hidden[rows].sum() > 0
+    assert np.unique(ds.visible[rows].sum(axis=1)).size > 3
+    assert np.array_equal(_sample_errors(landmarks, ds, rows), expected, equal_nan=True)
 
 
 class TestVisibilityScores:
@@ -310,6 +346,63 @@ class TestRunComparison:
         )
         with pytest.raises(ValueError):
             run_comparison(ds, np.zeros(3), cid, config)
+
+
+class TestFoldForests:
+    """Every fold's forests grow from one criterion pair in one pool."""
+
+    @staticmethod
+    def _inputs():
+        ds, meta = generate(two_cluster_config(90, rng_seed=4))
+        yaw, cid = metadata_arrays(meta)
+        return ds, yaw, cid
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equal_forests_trained_on_each_fold(self, workers, fraction):
+        ds, _, cid = self._inputs()
+        labels = derive_labels(ds, cid)
+        train = replace(_tiny_train(), bootstrap_fraction=fraction)
+        config = CompareConfig(strategies=("top-vote", "rec-forest"), fold_count=3,
+                               rng_seed=2, train=train)
+        folds = _train_folds(ds, labels, config, workers)
+        assert len(folds) == config.fold_count
+        for f, (_, fit_idx, _, fold_train, forests) in enumerate(folds):
+            assert fold_train == replace(train, rng_seed=derive_seed(2, "train", f))
+            fit_ds = ds.subset(fit_idx)
+            rec = train_forest(fit_ds, fold_train)
+            cls = train_class_forest(fit_ds, labels[fit_idx], fold_train)
+            assert isinstance(forests["rec-forest"], RecForest)
+            assert isinstance(forests["class"], ClassForest)
+            assert forests["rec-forest"].trees == rec.trees
+            assert forests["class"].trees == cls.trees
+
+    def test_one_pool_and_one_criterion_pair_per_comparison(self, monkeypatch):
+        pools = []
+        builds = []
+
+        class CountingPool(forest.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        def counted(cls):
+            real = cls.__init__
+
+            def init(self, *args, **kwargs):
+                builds.append(cls.__name__)
+                real(self, *args, **kwargs)
+            return init
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", CountingPool)
+        for cls in (forest._RecCriterion, classforest._ClassCriterion):
+            monkeypatch.setattr(cls, "__init__", counted(cls))
+        ds, yaw, cid = self._inputs()
+        config = CompareConfig(fold_count=3, cluster_centers=(-40.0, 40.0),
+                               rng_seed=2, train=_tiny_train())
+        run_comparison(ds, yaw, cid, config, workers=2)
+        assert len(pools) == 1
+        assert sorted(builds) == ["_ClassCriterion", "_RecCriterion"]
 
 
 class TestCompareConfigValidation:

@@ -12,6 +12,7 @@ from recforest.forest import (
     RecTrainConfig,
     Split,
     SplitParams,
+    _RecCriterion,
     bootstrap_indices,
     train_forest,
     train_tree,
@@ -20,7 +21,13 @@ from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, oracle_solve, solve
 from recforest.synth import generate, metadata_arrays, two_cluster_config
 
-from helpers import evaluate_split, fit_node_rating, node_cost, random_dataset
+from helpers import (
+    evaluate_split,
+    fit_node_rating,
+    node_cost,
+    random_dataset,
+    subset_rows,
+)
 
 
 def tiny_dataset(responses, ground_truth, visible, masks, features=None):
@@ -389,6 +396,17 @@ class TestLockstep:
             elif depth < config.max_depth:
                 small.append(node.sample_count < 2 * config.min_samples_per_leaf)
         assert any(small)
+
+
+@pytest.mark.parametrize("draw", ["fold", "bootstrap"])
+def test_subset_criterion_is_the_full_criterions_rows(draw):
+    """What lets one criterion serve every cross-validation fold."""
+    ds = random_dataset(np.random.default_rng(41), M=90)
+    rows = subset_rows(draw, ds.sample_count)
+    full = _RecCriterion(ds)
+    part = _RecCriterion(ds.subset(rows))
+    for name in ("P", "lin", "sq", "inst"):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
 
 
 def _train_error(forest, ds):
