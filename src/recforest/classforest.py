@@ -15,6 +15,7 @@ import numpy as np
 from .data import ModelProtocol, Prediction, ResponseDataset
 from .forest import (
     RecTrainConfig,
+    _SampleSums,
     _check_inputs,
     _predict_one,
     _route_payloads,
@@ -69,16 +70,17 @@ def entropy(labels, class_count: int) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-class _ClassCriterion:
+class _ClassCriterion(_SampleSums):
     """Label-count statistics for entropy-gain splitting.
 
     A node's total cost is n*H(counts) = n*ln n - sum_c counts_c*ln counts_c,
     so the shared gain formula (parent - left - right) / parent_weight is
-    exactly the information gain with proportional child weighting.
+    exactly the information gain with proportional child weighting.  The
+    table is the one-hot labels, so every count is an exact integer.
     """
 
     def __init__(self, labels, class_count):
-        self.one_hot = np.zeros((labels.size, class_count))
+        self.table = self.one_hot = np.zeros((labels.size, class_count))
         self.one_hot[np.arange(labels.size), labels] = 1.0
         self.dim = class_count
 
@@ -89,20 +91,11 @@ class _ClassCriterion:
         n_safe = np.where(n > 0, n, 1.0)
         return n * np.log(n_safe) - plogp
 
-    def node_stats(self, idx):
-        counts = self.one_hot[idx].sum(axis=0)
-        return counts, idx.size
-
-    def mask_stats(self, idx, masks):
-        counts = masks.astype(np.float64) @ self.one_hot[idx]
-        return counts, masks.sum(axis=1)
+    def _stats(self, counts, n):
+        return counts, n
 
     def weight(self, stats):
         return stats[1]
-
-    def fit(self, stats):
-        counts, n = stats
-        return counts / n, float(self._total_entropy(counts, float(n)))
 
     def fit_batch(self, stats):
         counts, n = stats

@@ -122,14 +122,41 @@ class RecTrainConfig:
 # Training fast path: per-sample Gram aggregates
 # ---------------------------------------------------------------------------
 
-class _RecCriterion:
+class _SampleSums:
+    """Node statistics that are sums of per-sample rows of `self.table` (M, K).
+
+    A subclass sets `table` and turns a batch of row sums (B, K) and sample
+    counts (B,) into its statistics tuple with `_stats`.  The sample-index
+    multiset `idx` of a node may repeat rows, as a bootstrap draw does.
+    """
+
+    def node_stats(self, idx):
+        """Statistics of the node `idx` itself, as a batch of one row."""
+        return self._stats(self.table[idx].sum(axis=0, keepdims=True),
+                           np.array([idx.size]))
+
+    def mask_stats(self, idx, masks):
+        """Statistics of 2Q children of the node `idx` (S,), for left masks (Q, S).
+
+        The node's rows are gathered once.  The Q left children are one
+        matrix product; the Q right children that follow them are each the
+        node total minus its left row.
+        """
+        rows = self.table[idx]
+        left = masks.astype(np.float64) @ rows
+        n = masks.sum(axis=1)
+        return self._stats(np.concatenate([left, rows.sum(axis=0) - left]),
+                           np.concatenate([n, idx.size - n]))
+
+
+class _RecCriterion(_SampleSums):
     """Per-sample sufficient statistics for the blended-residual cost.
 
     For sample m, over its visible landmarks: P[m] = sum x_c.x_e,
     lin[m] = sum x_c.y, sq[m] = sum |y|^2, inst[m] = visible count.  A node's
-    simplex problem in Gram form is just the sum of these over its subset,
-    so candidate children cost one masked matrix product instead of a
-    re-stacking of rows.
+    simplex problem in Gram form is just the sum of these over its subset;
+    with the four side by side in one `table` row per sample, candidate
+    children cost one matrix product instead of a re-stacking of rows.
     """
 
     def __init__(self, dataset: ResponseDataset, tolerance=1e-8,
@@ -138,33 +165,22 @@ class _RecCriterion:
         vis = dataset.visible
         gt0 = np.where(vis[:, :, None], dataset.ground_truth, 0.0)
         masked = resp * vis[:, None, :, None]
-        self.P = np.einsum("mcnd,mend->mce", masked, resp)
-        self.lin = np.einsum("mcnd,mnd->mc", resp, gt0)
-        self.sq = np.einsum("mnd,mnd->m", gt0, gt0)
-        self.inst = vis.sum(axis=1).astype(np.float64)
-        self.dim = dataset.model_count
+        self.dim = C = dataset.model_count
+        self.table = np.empty((dataset.sample_count, C * C + C + 2))
+        # P, lin, sq and inst are column views: the einsums fill the table
+        self.P, self.lin, self.sq, self.inst, _ = self._stats(self.table, None)
+        np.einsum("mcnd,mend->mce", masked, resp, out=self.P)
+        np.einsum("mcnd,mnd->mc", resp, gt0, out=self.lin)
+        np.einsum("mnd,mnd->m", gt0, gt0, out=self.sq)
+        vis.sum(axis=1, out=self.inst)
         self.tolerance = tolerance
         self.max_iterations = max_iterations
 
-    def node_stats(self, idx):
-        return (
-            self.P[idx].sum(axis=0),
-            self.lin[idx].sum(axis=0),
-            float(self.sq[idx].sum()),
-            float(self.inst[idx].sum()),
-            idx.size,
-        )
-
-    def mask_stats(self, idx, masks):
-        """Aggregates for each row of `masks` (Q, S) over the node's rows."""
-        m = masks.astype(np.float64)
-        return (
-            np.einsum("qs,sce->qce", m, self.P[idx]),
-            m @ self.lin[idx],
-            m @ self.sq[idx],
-            m @ self.inst[idx],
-            masks.sum(axis=1),
-        )
+    def _stats(self, sums, n):
+        """(G, h, sq, inst, n): views of the P, lin, sq and inst columns."""
+        C = self.dim
+        return (sums[:, :C * C].reshape(-1, C, C), sums[:, C * C:C * C + C],
+                sums[:, -2], sums[:, -1], n)
 
     def weight(self, stats):
         return stats[3]
@@ -181,16 +197,8 @@ class _RecCriterion:
             )
         return W
 
-    def fit(self, stats):
-        """(payload, total cost) for one node; total = mean cost * weight."""
-        G, h, sq, inst, n = stats
-        if inst < 1:
-            raise ValueError("node has no visible landmark instances")
-        w = self._solve(G[None], h[None])[0]
-        total = float(w @ G @ w - 2.0 * (h @ w) + sq)
-        return w, total
-
     def fit_batch(self, stats):
+        """(payloads, total costs, feasible) per row; total = mean cost * weight."""
         G, h, sq, inst, n = stats
         Q = n.shape[0]
         feasible = (n >= 1) & (inst >= 1)
@@ -211,11 +219,12 @@ class _RecCriterion:
 def _grow_tree(criterion, features, idx, config, rng):
     """Grow one tree over the sample multiset `idx` as a generator.
 
-    Each node that evaluates candidates yields one request, the stacked
-    `mask_stats` of every candidate's left child then every candidate's
-    right child, and expects the criterion's `fit_batch` result for it sent
-    back; `_grow_lockstep` answers the requests of many trees with one
-    `fit_batch`.  The generator returns (root, counters).
+    Each node that evaluates candidates yields one request, the criterion's
+    `mask_stats` for the candidates' left masks (the left rows, then the right
+    rows as node total minus left), and expects the criterion's `fit_batch`
+    result for it sent back; `_grow_lockstep` answers the requests of many
+    trees with one `fit_batch`.  The root's fit is `fit_batch` on its
+    `node_stats`.  The generator returns (root, counters).
 
     Leaves hold the criterion's fitted payload as `Leaf.rating`: a simplex
     rating for the recommendation criterion, the class posterior for the
@@ -252,12 +261,7 @@ def _grow_tree(criterion, features, idx, config, rng):
         if idx.size < 2 * config.min_samples_per_leaf:
             return Leaf(rating=payload, sample_count=idx.size)
         left_masks = (node_feats.T[:, None, :] <= taus[:, :, None]).reshape(Q, idx.size)
-        request = tuple(
-            np.concatenate(pair) for pair in zip(
-                criterion.mask_stats(idx, left_masks),
-                criterion.mask_stats(idx, ~left_masks),
-            )
-        )
+        request = criterion.mask_stats(idx, left_masks)
         # A suspended frame holds nothing of size (candidates x samples);
         # the winning mask is recomputed below.
         del node_feats, left_masks
@@ -291,7 +295,10 @@ def _grow_tree(criterion, features, idx, config, rng):
         return Split(params=params, gain=gain, left=left, right=right)
 
     stats0 = criterion.node_stats(idx)
-    root = yield from build(idx, 0, criterion.weight(stats0), *criterion.fit(stats0))
+    payloads, totals, feasible = criterion.fit_batch(stats0)
+    if not feasible[0]:
+        raise ValueError("node has no visible landmark instances")
+    root = yield from build(idx, 0, criterion.weight(stats0)[0], payloads[0], totals[0])
     return root, counters
 
 

@@ -105,3 +105,20 @@ def evaluate_split(subset, dataset: ResponseDataset, params: SplitParams):
     k_parent = k_left + k_right
     gain = parent_cost - (k_left * cost_left + k_right * cost_right) / k_parent
     return gain, w_left, w_right, left, right
+
+
+def class_mask_stats_direct(criterion, idx, masks):
+    """`_ClassCriterion.mask_stats` by direct sums: label counts over each left
+    mask, then over its complement, each with its own matrix product."""
+    def sums(m):
+        return m.astype(np.float64) @ criterion.one_hot[idx], m.sum(axis=1)
+    return tuple(np.concatenate(pair) for pair in zip(sums(masks), sums(~masks)))
+
+
+def random_masks(rng, S, Q=12):
+    """Q random left masks over S node rows, with an all-left and an all-right
+    row among them."""
+    masks = rng.random((Q, S)) < rng.uniform(0.05, 0.95, size=(Q, 1))
+    masks[0] = True
+    masks[1] = False
+    return masks

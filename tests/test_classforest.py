@@ -26,7 +26,7 @@ from recforest.forest import (
 )
 from recforest.synth import GenConfig, generate, metadata_arrays, two_cluster_config
 
-from helpers import random_dataset, subset_rows
+from helpers import class_mask_stats_direct, random_dataset, random_masks, subset_rows
 
 
 class TestEntropy:
@@ -252,6 +252,31 @@ def test_subset_criterion_is_the_full_criterions_rows(draw):
     full = _ClassCriterion(labels, ds.model_count)
     part = _ClassCriterion(labels[rows], ds.model_count)
     assert np.array_equal(part.one_hot, full.one_hot[rows])
+
+
+@pytest.mark.parametrize("draw", ["fold", "bootstrap"])
+def test_mask_stats_match_direct_sums(draw):
+    """Label counts are exact, so right children by subtraction are too."""
+    ds = random_dataset(np.random.default_rng(43), M=90)
+    criterion = _ClassCriterion(derive_labels(ds), ds.model_count)
+    rng = np.random.default_rng(47)
+    for seed in range(5):
+        idx = subset_rows(draw, ds.sample_count, seed=seed)
+        masks = random_masks(rng, idx.size)
+        got = criterion.mask_stats(idx, masks)
+        for stat, direct in zip(got, class_mask_stats_direct(criterion, idx, masks)):
+            assert np.array_equal(stat, direct)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.6])
+def test_forest_equals_forest_grown_on_direct_sums(monkeypatch, fraction):
+    ds, meta = generate(GenConfig(sample_count=300, rng_seed=3))
+    _, labels = metadata_arrays(meta)
+    config = RecTrainConfig(tree_count=4, max_depth=6, min_samples_per_leaf=4,
+                            bootstrap_fraction=fraction, rng_seed=5)
+    forest = train_class_forest(ds, labels, config)
+    monkeypatch.setattr(_ClassCriterion, "mask_stats", class_mask_stats_direct)
+    assert train_class_forest(ds, labels, config) == forest
 
 
 class TestTopVote:

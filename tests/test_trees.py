@@ -1,6 +1,9 @@
 """Recommendation-tree training: costs, split gains, growth, determinism."""
 
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from helpers import (
     fit_node_rating,
     node_cost,
     random_dataset,
+    random_masks,
     subset_rows,
 )
 
@@ -320,6 +324,8 @@ class TestTrainForest:
         )
         with pytest.raises(ValueError):
             train_forest(stripped, RecTrainConfig(tree_count=1))
+        with pytest.raises(ValueError, match="node has no visible landmark instances"):
+            train_tree(stripped, RecTrainConfig(), np.random.default_rng(0))
 
     def test_bootstrap_draw_shapes(self):
         config = RecTrainConfig(bootstrap_fraction=1.0)
@@ -407,6 +413,56 @@ def test_subset_criterion_is_the_full_criterions_rows(draw):
     part = _RecCriterion(ds.subset(rows))
     for name in ("P", "lin", "sq", "inst"):
         assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
+
+
+@pytest.mark.parametrize("draw", ["fold", "bootstrap"])
+def test_mask_stats_match_direct_sums(draw):
+    """Right children come by subtraction from the node total; they must
+    match direct masked sums over the complement masks."""
+    ds = random_dataset(np.random.default_rng(43), M=90)
+    criterion = _RecCriterion(ds)
+    rng = np.random.default_rng(47)
+    for seed in range(5):
+        idx = subset_rows(draw, ds.sample_count, seed=seed)
+        masks = random_masks(rng, idx.size)
+        Q = len(masks)
+        got = criterion.mask_stats(idx, masks)
+        for half, m in ((slice(None, Q), masks), (slice(Q, None), ~masks)):
+            w = m.astype(np.float64)
+            for name, stat in zip(("P", "lin", "sq"), got):
+                rows = getattr(criterion, name)[idx]
+                direct = np.einsum("qs,s...->q...", w, rows)
+                scale = np.abs(rows.sum(axis=0)).max()
+                assert np.abs(stat[half] - direct).max() <= 1e-12 * scale, name
+            assert np.array_equal(got[3][half], w @ criterion.inst[idx])
+            assert np.array_equal(got[4][half], m.sum(axis=1))
+
+
+_TRAIN_AND_SAVE = """
+import sys
+from recforest.forest import RecTrainConfig, train_forest
+from recforest.serialize import save_forest
+from recforest.synth import generate, preset_config
+ds, _ = generate(preset_config("aflw-like-5view", sample_count=400))
+save_forest(train_forest(ds, RecTrainConfig(tree_count=3)), sys.argv[1])
+"""
+
+
+def test_blas_thread_count_does_not_change_forest(tmp_path):
+    """Node statistics are a BLAS product large enough for OpenBLAS to split
+    across threads; the forest file must not depend on how it splits."""
+    import recforest
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(recforest.__file__)))
+    files = []
+    for threads in ("1", "2"):
+        path = tmp_path / ("forest-%s-threads.json" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
 
 
 def _train_error(forest, ds):
