@@ -10,12 +10,14 @@
 # command's stdout is compared.  Exits 0 when nothing differs, 1 otherwise.
 # WORKDIR defaults to a new temporary directory and is kept for inspection.
 #
-# Commands: gen (M=400, seed 5); train rec and class at --workers 1 and 2;
-# predict with the rec forest and with the class forest under both
-# selectors; eval of the same three in records (with --out) and table
-# formats; compare with records, curve files and the table at --workers 1
-# and 2; compare with 4-tree forests on 60% bootstrap draws over 3 folds
-# (a --config file) at --workers 3, so every fold maps its draws onto
+# Commands: gen (M=400, seed 5); gen of 257 samples in two clusters at
+# -40/40 with yaw drawn only inside them (--in-cluster-only, seed 9), which
+# crosses two edges of the generator's sample blocks; train rec and class at
+# --workers 1 and 2; predict with the rec forest and with the class forest
+# under both selectors; eval of the same three in records (with --out) and
+# table formats; compare with records, curve files and the table at
+# --workers 1 and 2; compare with 4-tree forests on 60% bootstrap draws over
+# 3 folds (a --config file) at --workers 3, so every fold maps its draws onto
 # dataset rows.
 set -euo pipefail
 
@@ -37,6 +39,8 @@ run_all() {  # run_all SRC_DIR OUT_DIR
     mkdir -p "$out"
     cli() { PYTHONPATH="$src" python3 -m recforest.cli "$@"; }
     cli gen --out "$out/data" --m 400 --seed 5 > "$out/gen.txt"
+    cli gen --out "$out/data-in-cluster" --m 257 --in-cluster-only \
+        --centers=-40,40 --seed 9 > "$out/gen-in-cluster.txt"
     for w in 1 2; do
         cli train --data "$out/data" --out "$out/rec-w$w.json" \
             --workers "$w" > "$out/train-rec-w$w.txt"

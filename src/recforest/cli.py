@@ -96,8 +96,8 @@ def _fits(value, kind):
         return _is_list_of(lambda v: _fits(v, get_args(kind)[0]), value)
     if kind is int:
         return _is_int(value)
-    if kind is float:
-        return _is_number(value)
+    if kind is float:  # a JSON integer too large for a float does not fit
+        return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

@@ -11,7 +11,7 @@ landmark when it is actually visible and stay low otherwise.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ CHIN_ANCHOR = 2
 _RING_SPAN_DEG = 110.0
 _RING_HEIGHTS = (0.25, -0.05, -0.35)
 _RING_RADII = (0.8, 0.45)  # ellipse semi-axes (x, z)
+_BLOCK = 128  # samples per block in `generate`
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,9 @@ class GenConfig:
         return len(self.cluster_centers)
 
     def validate(self):
+        for field in fields(self):
+            if field.type is float and not math.isfinite(getattr(self, field.name)):
+                raise ValueError("%s must be finite" % field.name)
         if self.sample_count < 1:
             raise ValueError("M must be ≥ 1")
         if self.landmark_count < 4:
@@ -60,9 +64,13 @@ class GenConfig:
         lo, hi = self.yaw_range
         if not lo < hi:
             raise ValueError("yaw_range must be a nonempty interval")
+        if not math.isfinite(hi - lo):
+            raise ValueError("yaw_range must have a finite width")
         centers = np.asarray(self.cluster_centers, dtype=np.float64)
         if centers.size < 1:
             raise ValueError("need at least one cluster center")
+        if not np.isfinite(centers).all():
+            raise ValueError("cluster_centers must be finite")
         if centers.size > 1 and not np.all(np.diff(centers) > 0):
             raise ValueError("cluster_centers must be strictly increasing")
         if centers.min() < lo or centers.max() > hi:
@@ -117,17 +125,20 @@ def face_template(landmark_count: int):
     return np.vstack([anchors, ring]), np.vstack([anchor_normals, ring_normals])
 
 
-def _project(points, yaw_deg):
-    """Rotate about the vertical axis and drop depth; returns (N, 2)."""
+def _cos_sin(yaw_deg):
     rad = math.radians(yaw_deg)
-    x = points[:, 0] * math.cos(rad) + points[:, 2] * math.sin(rad)
-    return np.stack([x, points[:, 1]], axis=1)
+    return math.cos(rad), math.sin(rad)
 
 
-def _visible_at(normals, yaw_deg):
-    """Camera-facing test: rotated normal has positive depth component."""
-    rad = math.radians(yaw_deg)
-    depth = -normals[:, 0] * math.sin(rad) + normals[:, 2] * math.cos(rad)
+def _project(points, cos, sin):
+    """Rotate about the vertical axis by K yaws and drop depth; (K, N, 2)."""
+    x = points[:, 0] * cos[:, None] + points[:, 2] * sin[:, None]
+    return np.stack([x, np.broadcast_to(points[:, 1], x.shape)], axis=2)
+
+
+def _visible_at(normals, cos, sin):
+    """Camera-facing test: rotated normal has positive depth; (K, N)."""
+    depth = -normals[:, 0] * sin[:, None] + normals[:, 2] * cos[:, None]
     return depth > 0
 
 
@@ -137,7 +148,9 @@ def generate(config: GenConfig):
     Per-sample randomness comes from a stream seeded by (rng_seed, "sample",
     m), drawn in a fixed order (yaw, response noise, occlusion dropout,
     score noise), so generation is reproducible and per-sample
-    parallelizable.
+    parallelizable.  Samples go in blocks of `_BLOCK`: a loop only makes
+    each sample's draws, and the rest is array operations per block, with
+    the same bytes as one sample at a time.  The bound keeps memory flat.
     """
     config.validate()
     M = config.sample_count
@@ -145,61 +158,69 @@ def generate(config: GenConfig):
     centers = np.asarray(config.cluster_centers, dtype=np.float64)
     C = centers.size
     points, normals = face_template(N)
-    masks = np.stack([_visible_at(normals, c) for c in centers])
-    protocol = ModelProtocol(masks)
+    protocol = ModelProtocol(
+        _visible_at(normals, *np.array([_cos_sin(c) for c in centers]).T)
+    )
     pair_c, pair_n = protocol.slot_pairs[:, 0], protocol.slot_pairs[:, 1]
 
     yaw_lo, yaw_hi = (float(v) for v in config.yaw_range)
     responses = np.empty((M, C, N, 2))
     ground_truth = np.full((M, N, 2), np.nan)
-    visible = np.zeros((M, N), dtype=bool)
+    visible = np.empty((M, N), dtype=bool)
     features = np.empty((M, protocol.feature_count))
     normalizer = np.empty(M)
     metadata = []
 
-    for m in range(M):
-        rng = np.random.default_rng(derive_seed(config.rng_seed, "sample", m))
-        if config.in_cluster_only:
-            cluster = int(rng.integers(C))
-            lo = max(yaw_lo, centers[cluster] - config.cluster_half_width)
-            hi = min(yaw_hi, centers[cluster] + config.cluster_half_width)
-            yaw = float(rng.uniform(lo, hi))
-        else:
-            yaw = float(rng.uniform(yaw_lo, yaw_hi))
-        true_shape = _project(points, yaw)
-        geo_visible = _visible_at(normals, yaw)
+    for start in range(0, M, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, M))
+        B = rows.stop - start
+        yaw, cos_sin = np.empty(B), np.empty((2, B))
+        dropout, eps = np.empty((B, N)), np.empty((B, C, N))
+        for i, m in enumerate(range(start, rows.stop)):
+            rng = np.random.default_rng(derive_seed(config.rng_seed, "sample", m))
+            lo, hi = yaw_lo, yaw_hi
+            if config.in_cluster_only:
+                cluster = int(rng.integers(C))
+                lo = max(yaw_lo, centers[cluster] - config.cluster_half_width)
+                hi = min(yaw_hi, centers[cluster] + config.cluster_half_width)
+            yaw[i] = rng.uniform(lo, hi)
+            cos_sin[:, i] = _cos_sin(yaw[i])
+            rng.standard_normal(out=responses[m])
+            rng.random(out=dropout[i])
+            rng.standard_normal(out=eps[i])
 
+        true_shape = _project(points, *cos_sin)  # (B, N, 2)
+        geo_visible = _visible_at(normals, *cos_sin)  # (B, N)
+        distance = np.abs(yaw[:, None] - centers)  # (B, C)
         sigma = config.in_noise + config.out_noise_slope * np.maximum(
-            0.0, np.abs(yaw - centers) - config.cluster_half_width
+            0.0, distance - config.cluster_half_width
         )
-        noise = rng.normal(size=(C, N, 2))
-        responses[m] = true_shape[None] + sigma[:, None, None] * noise
+        block = responses[rows]
+        block *= sigma[:, :, None, None]
+        block += true_shape[:, None]
 
-        dropped = rng.random(N) < config.occlusion_rate
-        vis = geo_visible & ~dropped
-        visible[m] = vis
-        ground_truth[m, vis] = true_shape[vis]
+        vis = geo_visible & ~(dropout < config.occlusion_rate)
+        visible[rows] = vis
+        ground_truth[rows][vis] = true_shape[vis]
 
-        scale = float(
-            np.linalg.norm(true_shape[TOP_ANCHOR] - true_shape[CHIN_ANCHOR])
-        )
-        normalizer[m] = scale
-        err = np.linalg.norm(responses[m] - true_shape[None], axis=2)  # (C, N)
-        eps = config.score_noise * rng.normal(size=(C, N))
+        # 1-D norms (dot products): an axis-wise norm can differ in the last bit
+        top_chin = true_shape[:, TOP_ANCHOR] - true_shape[:, CHIN_ANCHOR]
+        scale = np.array([np.linalg.norm(v) for v in top_chin])
+        normalizer[rows] = scale
+        err = np.linalg.norm(block - true_shape[:, None], axis=3)  # (B, C, N)
+        eps *= config.score_noise
         raw = np.where(
-            vis[None, :],
-            1.0 - config.score_sharpness * err / scale + eps,
+            vis[:, None, :],
+            1.0 - config.score_sharpness * err / scale[:, None, None] + eps,
             0.1 + eps,
         )
-        raw = np.clip(raw, 0.0, 1.0)
-        features[m] = raw[pair_c, pair_n]
+        features[rows] = np.clip(raw, 0.0, 1.0)[:, pair_c, pair_n]
 
-        metadata.append(
-            LatentSample(
-                yaw=yaw,
-                cluster_id=int(np.argmin(np.abs(yaw - centers))),
-                true_shape=true_shape,
-                true_visibility=geo_visible.copy(),
+        metadata.extend(
+            LatentSample(yaw=float(y), cluster_id=int(c), true_shape=shape,
+                         true_visibility=geo)
+            for y, c, shape, geo in zip(
+                yaw, np.argmin(distance, axis=1), true_shape, geo_visible
             )
         )
 

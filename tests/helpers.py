@@ -1,10 +1,20 @@
 """Shared builders for small synthetic fixtures used across test modules."""
 
+import math
+
 import numpy as np
 
 from recforest.data import ModelProtocol, ResponseDataset, rating_vector
 from recforest.forest import SplitParams
+from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, solve
+from recforest.synth import (
+    CHIN_ANCHOR,
+    TOP_ANCHOR,
+    GenConfig,
+    LatentSample,
+    face_template,
+)
 
 
 def random_dataset(rng, M=12, C=3, N=5, full_cover=False):
@@ -122,3 +132,99 @@ def random_masks(rng, S, Q=12):
     masks[0] = True
     masks[1] = False
     return masks
+
+
+# ---------------------------------------------------------------------------
+# Synthetic pool, one sample per loop pass: a reference for the block walk of
+# `synth.generate`
+# ---------------------------------------------------------------------------
+
+def _project_one(points, yaw_deg):
+    rad = math.radians(yaw_deg)
+    x = points[:, 0] * math.cos(rad) + points[:, 2] * math.sin(rad)
+    return np.stack([x, points[:, 1]], axis=1)
+
+
+def _visible_at_one(normals, yaw_deg):
+    rad = math.radians(yaw_deg)
+    depth = -normals[:, 0] * math.sin(rad) + normals[:, 2] * math.cos(rad)
+    return depth > 0
+
+
+def generate_per_sample(config: GenConfig):
+    """`synth.generate`, building each sample in its own loop pass from its
+    own stream, drawn in the order yaw, response noise, occlusion dropout,
+    score noise."""
+    config.validate()
+    M = config.sample_count
+    N = config.landmark_count
+    centers = np.asarray(config.cluster_centers, dtype=np.float64)
+    C = centers.size
+    points, normals = face_template(N)
+    masks = np.stack([_visible_at_one(normals, c) for c in centers])
+    protocol = ModelProtocol(masks)
+    pair_c, pair_n = protocol.slot_pairs[:, 0], protocol.slot_pairs[:, 1]
+
+    yaw_lo, yaw_hi = (float(v) for v in config.yaw_range)
+    responses = np.empty((M, C, N, 2))
+    ground_truth = np.full((M, N, 2), np.nan)
+    visible = np.zeros((M, N), dtype=bool)
+    features = np.empty((M, protocol.feature_count))
+    normalizer = np.empty(M)
+    metadata = []
+
+    for m in range(M):
+        rng = np.random.default_rng(derive_seed(config.rng_seed, "sample", m))
+        if config.in_cluster_only:
+            cluster = int(rng.integers(C))
+            lo = max(yaw_lo, centers[cluster] - config.cluster_half_width)
+            hi = min(yaw_hi, centers[cluster] + config.cluster_half_width)
+            yaw = float(rng.uniform(lo, hi))
+        else:
+            yaw = float(rng.uniform(yaw_lo, yaw_hi))
+        true_shape = _project_one(points, yaw)
+        geo_visible = _visible_at_one(normals, yaw)
+
+        sigma = config.in_noise + config.out_noise_slope * np.maximum(
+            0.0, np.abs(yaw - centers) - config.cluster_half_width
+        )
+        noise = rng.normal(size=(C, N, 2))
+        responses[m] = true_shape[None] + sigma[:, None, None] * noise
+
+        dropped = rng.random(N) < config.occlusion_rate
+        vis = geo_visible & ~dropped
+        visible[m] = vis
+        ground_truth[m, vis] = true_shape[vis]
+
+        scale = float(
+            np.linalg.norm(true_shape[TOP_ANCHOR] - true_shape[CHIN_ANCHOR])
+        )
+        normalizer[m] = scale
+        err = np.linalg.norm(responses[m] - true_shape[None], axis=2)  # (C, N)
+        eps = config.score_noise * rng.normal(size=(C, N))
+        raw = np.where(
+            vis[None, :],
+            1.0 - config.score_sharpness * err / scale + eps,
+            0.1 + eps,
+        )
+        raw = np.clip(raw, 0.0, 1.0)
+        features[m] = raw[pair_c, pair_n]
+
+        metadata.append(
+            LatentSample(
+                yaw=yaw,
+                cluster_id=int(np.argmin(np.abs(yaw - centers))),
+                true_shape=true_shape,
+                true_visibility=geo_visible.copy(),
+            )
+        )
+
+    dataset = ResponseDataset(
+        protocol=protocol,
+        responses=responses,
+        ground_truth=ground_truth,
+        visible=visible,
+        features=features,
+        normalizer=normalizer,
+    )
+    return dataset, metadata

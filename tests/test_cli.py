@@ -43,6 +43,25 @@ class TestGen:
         assert "M must be" in capsys.readouterr().err
         assert not os.path.exists(out)  # nothing written for a bad config
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--yaw-range=-1e308,1e308", "yaw_range"),
+            ("--yaw-range=-inf,inf", "yaw_range"),
+            ("--half-width=nan", "cluster_half_width"),
+            ("--in-noise=nan", "in_noise"),
+            ("--centers=nan", "cluster_centers"),
+            ("--score-noise=inf", "score_noise"),
+        ],
+    )
+    def test_non_finite_value_fails_cleanly(self, tmp_path, capsys, flag, field):
+        out = str(tmp_path / "bad")
+        assert main(["gen", "--out", out, "--m", "4", flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s " % field) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_deterministic_bytes(self, tmp_path):
         a = _gen(tmp_path, "a")
         b = _gen(tmp_path, "b")

@@ -1,0 +1,97 @@
+"""Command line fuzzing: `gen --config` with every generator field drawn.
+
+Each field of the config document gets a valid value, or, for a drawn set
+of at most two fields, a wrong JSON type, a non-finite number or an
+out-of-range number.  The command must then exit 0, or exit 1 with a
+single `error:` line; an exception escaping `main` would reach the user as
+a traceback.  Sample and landmark counts stay small (at most 64 and 32)
+or invalid, never large, so no example can ask for a huge allocation.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from recforest.cli import main
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+TOO_LARGE = [2 ** 1100, -(2 ** 1100)]  # JSON integers too large for a float
+WRONG_TYPE = st.sampled_from([None, True, "1", [], {}])
+
+
+def _float_field(valid, out_of_range):
+    return valid, st.sampled_from(NON_FINITE + TOO_LARGE + out_of_range)
+
+
+CENTERS = st.lists(
+    st.floats(-85.0, 85.0), min_size=1, max_size=5, unique=True
+).map(sorted)
+
+# field: (valid values, invalid values besides the wrong JSON types)
+FIELDS = {
+    "sample_count": (st.integers(1, 64), st.sampled_from([0, -3, 1.5, math.nan])),
+    "landmark_count": (st.integers(4, 32), st.sampled_from([3, 0, -1, math.inf])),
+    "cluster_centers": (CENTERS, st.sampled_from(
+        [[], [math.nan], [-math.inf, 0.0], [0.0, math.inf], [10.0, 10.0],
+         [20.0, -20.0], [-95.0, 0.0], [0.0, 90.0], [2 ** 1100]])),
+    "cluster_half_width": _float_field(st.floats(0.5, 60.0), [0.0, -1.0]),
+    "yaw_range": (st.sampled_from([[-90.0, 90.0], [-90, 90], [-1000.0, 1000.0]]),
+                  st.sampled_from(
+        [[-1e308, 1e308], [-math.inf, math.inf], [math.nan, 90.0],
+         [-90.0, math.inf], [30.0, 30.0], [90.0, -90.0], [0.0],
+         [-90.0, 0.0, 90.0], [-(2 ** 1100), 2 ** 1100]])),
+    "in_noise": _float_field(st.floats(0.0, 0.1), [-0.1, 1e308]),
+    "out_noise_slope": _float_field(st.floats(0.0, 0.01), [-0.001, 1e308]),
+    "score_sharpness": _float_field(st.floats(0.5, 10.0), [0.0, -1.0, 1e308]),
+    "score_noise": _float_field(st.floats(0.0, 0.2), [-0.1, 1e308]),
+    "occlusion_rate": _float_field(st.floats(0.0, 0.9), [1.0, -0.1, 1.5]),
+    "in_cluster_only": (st.booleans(), st.sampled_from([0, 1, "true", math.nan])),
+    "rng_seed": (st.integers(-(2 ** 70), 2 ** 70),
+                 st.sampled_from([1.5, math.nan, math.inf])),
+}
+
+
+@st.composite
+def gen_documents(draw):
+    bad = draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=2))
+    doc = {}
+    for name, (valid, invalid) in FIELDS.items():
+        doc[name] = draw(WRONG_TYPE | invalid if name in bad else valid)
+    return doc
+
+
+VALID = {
+    "sample_count": 8, "landmark_count": 6, "cluster_centers": [-40.0, 40.0],
+    "cluster_half_width": 20.0, "yaw_range": [-90.0, 90.0], "in_noise": 0.02,
+    "out_noise_slope": 0.001, "score_sharpness": 6.0, "score_noise": 0.08,
+    "occlusion_rate": 0.05, "in_cluster_only": False, "rng_seed": 0,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("gen-fuzz")
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(doc=gen_documents())
+@example(doc=dict(VALID, yaw_range=[-1e308, 1e308]))
+@example(doc=dict(VALID, yaw_range=[-math.inf, math.inf]))
+@example(doc=dict(VALID, in_noise=2 ** 1100))
+def test_gen_config_exits_cleanly(fuzz_dir, doc):
+    path = fuzz_dir / "gen.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["gen", "--out", str(fuzz_dir / "data"), "--config", str(path)])
+    if rc == 0:
+        assert out.getvalue().startswith("M=%d " % doc["sample_count"])
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -1,6 +1,7 @@
 """Generator geometry, noise structure, and reproducibility."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from recforest.synth import (
     preset_config,
     two_cluster_config,
 )
+
+from helpers import generate_per_sample
 
 
 def _noise_free(**overrides):
@@ -244,6 +247,17 @@ class TestConfigValidation:
             {"score_noise": -0.1},
             {"score_sharpness": 0.0},
             {"occlusion_rate": 1.0},
+            {"yaw_range": (-1e308, 1e308)},
+            {"yaw_range": (-math.inf, math.inf)},
+            {"yaw_range": (-math.inf, 90.0)},
+            {"cluster_centers": (math.nan,)},
+            {"cluster_half_width": math.nan},
+            {"cluster_half_width": math.inf},
+            {"in_noise": math.nan},
+            {"out_noise_slope": math.inf},
+            {"score_noise": math.inf},
+            {"score_sharpness": math.inf},
+            {"occlusion_rate": math.nan},
         ],
     )
     def test_rejections(self, overrides):
@@ -254,6 +268,48 @@ class TestConfigValidation:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_config("no-such-preset")
+
+
+class TestPerSampleOracle:
+    """`generate` walks samples in blocks; it must give the bytes of the
+    one-sample-per-pass reference, block edges and both yaw branches
+    included."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *(pytest.param(preset_config("aflw-like-5view", rng_seed=s),
+                           id="preset-seed%d" % s) for s in range(3)),
+            *(pytest.param(preset_config("aflw-like-5view", sample_count=m),
+                           id="M%d" % m) for m in (1, 127, 128, 129, 300)),
+            pytest.param(two_cluster_config(400), id="two-cluster"),
+            pytest.param(two_cluster_config(150, rng_seed=3), id="two-cluster-seed3"),
+            pytest.param(preset_config("aflw-like-5view", sample_count=200,
+                                       landmark_count=8, cluster_centers=(-30.0, 30.0)),
+                         id="N8-two-centers"),
+            pytest.param(preset_config("aflw-like-5view", sample_count=200,
+                                       score_noise=0.0), id="no-score-noise"),
+            pytest.param(preset_config("aflw-like-5view", sample_count=200,
+                                       occlusion_rate=0.0), id="no-occlusion"),
+        ],
+    )
+    def test_same_bytes_as_per_sample_loop(self, config):
+        ds, meta = generate(config)
+        ref, ref_meta = generate_per_sample(config)
+        assert np.array_equal(ds.protocol.masks, ref.protocol.masks)
+        for name in ("responses", "ground_truth", "visible", "features",
+                     "normalizer"):
+            got, want = getattr(ds, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name  # NaN positions too
+        assert len(meta) == len(ref_meta) == config.sample_count
+        for got, want in zip(meta, ref_meta):
+            assert type(got.yaw) is float and got.yaw == want.yaw
+            assert type(got.cluster_id) is int and got.cluster_id == want.cluster_id
+            for name in ("true_shape", "true_visibility"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
 
 
 PRESET_CENTERS = (-80.0, -40.0, 0.0, 40.0, 80.0)
