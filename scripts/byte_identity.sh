@@ -15,10 +15,12 @@
 # crosses two edges of the generator's sample blocks; train rec and class at
 # --workers 1 and 2; predict with the rec forest and with the class forest
 # under both selectors; eval of the same three in records (with --out) and
-# table formats; compare with records, curve files and the table at
-# --workers 1 and 2; compare with 4-tree forests on 60% bootstrap draws over
-# 3 folds (a --config file) at --workers 3, so every fold maps its draws onto
-# dataset rows.
+# table formats; predict and eval (records) with the rec forest on the M=400
+# dataset file re-written in a layout `save_dataset` never writes (indented,
+# top-level keys reversed so the samples come before the header); compare
+# with records, curve files and the table at --workers 1 and 2; compare with
+# 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
+# --workers 3, so every fold maps its draws onto dataset rows.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -53,6 +55,15 @@ run_all() {  # run_all SRC_DIR OUT_DIR
         --format records --out "$out/eval-rec.json" > "$out/eval-rec.txt"
     cli eval --forest "$out/rec-w1.json" --data "$out/data" \
         > "$out/eval-rec-table.txt"
+    mkdir -p "$out/data-foreign"
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+json.dump(dict(reversed(doc.items())), open(sys.argv[2], "w"), indent=2)' \
+        "$out/data/dataset.json" "$out/data-foreign/dataset.json"
+    cli predict --forest "$out/rec-w1.json" --data "$out/data-foreign" \
+        --out "$out/predict-rec-foreign.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data-foreign" \
+        --format records --out "$out/eval-rec-foreign.json" > "$out/eval-rec-foreign.txt"
     for sel in top-vote posterior-rating; do
         cli predict --forest "$out/class-w1.json" --data "$out/data" \
             --selector "$sel" --out "$out/predict-class-$sel.json" > /dev/null

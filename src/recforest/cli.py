@@ -20,7 +20,7 @@ import numpy as np
 
 from .classforest import derive_labels, train_class_forest
 from .data import (
-    _atomic_write_text,
+    _atomic_write,
     _is_int,
     _is_list_of,
     _is_number,
@@ -259,7 +259,7 @@ def cmd_predict(args):
         )
     ]
     payload = {"formatVersion": 1, "sampleCount": dataset.sample_count, "samples": samples}
-    _atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
+    _atomic_write(args.out, [json.dumps(payload, indent=1) + "\n"])
     print("wrote %d predictions to %s" % (dataset.sample_count, args.out))
     return 0
 
@@ -282,7 +282,7 @@ def cmd_eval(args):
         )
     sys.stdout.write(text)
     if args.out:
-        _atomic_write_text(args.out, text)
+        _atomic_write(args.out, [text])
     return 0
 
 
@@ -313,16 +313,12 @@ def cmd_compare(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         report_name = "report.json" if args.format == "records" else "report.txt"
-        _atomic_write_text(os.path.join(args.out, report_name), text)
+        _atomic_write(os.path.join(args.out, report_name), [text])
         for name, report in reports.items():
-            _atomic_write_text(
-                os.path.join(args.out, "%s-ced.txt" % name),
-                curve_lines(report.ced_curve),
-            )
-            _atomic_write_text(
-                os.path.join(args.out, "%s-pr.txt" % name),
-                curve_lines(report.pr_curve),
-            )
+            _atomic_write(os.path.join(args.out, "%s-ced.txt" % name),
+                          [curve_lines(report.ced_curve)])
+            _atomic_write(os.path.join(args.out, "%s-pr.txt" % name),
+                          [curve_lines(report.pr_curve)])
     return 0
 
 

@@ -219,13 +219,15 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 DATASET_FORMAT_VERSION = 1
+_BLOCK = 128  # samples per block in `save_dataset` and `synth.generate`
 
 
-def _atomic_write_text(path, text: str):
-    """Write text to `path` via a temp file so output is never partial."""
+def _atomic_write(path, chunks):
+    """Write an iterable of strings to `path` via a temp file, so the output
+    is never partial.  Pass one string as a one-item list."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -236,23 +238,31 @@ def save_dataset(dataset: ResponseDataset, path):
     """Serialize a dataset to a single JSON document.
 
     Floats round-trip exactly (shortest decimal repr); ground truth outside
-    the visible set is written as NaN.
+    the visible set is written as NaN.  Samples are written `_BLOCK` at a
+    time, with the bytes of one `json.dumps` of the whole document.
     """
-    gt = dataset.ground_truth.copy()
-    gt[~dataset.visible] = np.nan
-    columns = zip(dataset.responses.tolist(), gt.tolist(),
-                  [np.flatnonzero(row).tolist() for row in dataset.visible],
-                  dataset.features.tolist(), dataset.normalizer.tolist())
-    doc = {
-        "formatVersion": DATASET_FORMAT_VERSION,
-        "sampleCount": dataset.sample_count,
-        "modelCount": dataset.model_count,
-        "landmarkCount": dataset.landmark_count,
-        "featureCount": dataset.feature_count,
-        "masks": dataset.protocol.masks.astype(int).tolist(),
-        "samples": [dict(zip(_SAMPLE_KEYS, values)) for values in columns],
-    }
-    _atomic_write_text(path, json.dumps(doc))
+    def blocks():
+        yield json.dumps({
+            "formatVersion": DATASET_FORMAT_VERSION,
+            "sampleCount": dataset.sample_count,
+            "modelCount": dataset.model_count,
+            "landmarkCount": dataset.landmark_count,
+            "featureCount": dataset.feature_count,
+            "masks": dataset.protocol.masks.astype(int).tolist(),
+            "samples": [],
+        })[:-2]  # up to the opening `[` of the samples
+        for start in range(0, dataset.sample_count, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            vis = dataset.visible[rows]
+            gt = np.where(vis[..., None], dataset.ground_truth[rows], np.nan)
+            columns = zip(dataset.responses[rows].tolist(), gt.tolist(),
+                          [np.flatnonzero(row).tolist() for row in vis],
+                          dataset.features[rows].tolist(), dataset.normalizer[rows].tolist())
+            text = json.dumps([dict(zip(_SAMPLE_KEYS, v)) for v in columns])
+            yield (", " if start else "") + text[1:-1]
+        yield "]}"
+
+    _atomic_write(path, blocks())
 
 
 def _require(cond, message):
@@ -273,12 +283,13 @@ def _is_list_of(is_item, value):
     return isinstance(value, list) and all(is_item(v) for v in value)
 
 
-def _read_json(path, what):
+def _read_json(path, what, object_hook=None):
     """Parse a JSON file; text that is not JSON, not UTF-8 or nested too
-    deeply for the parser raises SchemaError naming `what`."""
+    deeply for the parser raises SchemaError naming `what`.  `object_hook`
+    gets each object as soon as it is parsed, and its result replaces it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
 
@@ -298,12 +309,44 @@ def _float_array(value, shape, what):
              "%s shape mismatch" % what)
     # The shape matched, so `value` is lists nested regularly down to
     # scalars; numpy also converts "0.5" and true, so check each scalar.
-    leaves = value
-    for _ in range(arr.ndim - 1):
-        leaves = chain.from_iterable(leaves)
-    _require(set(map(type, leaves)) <= _JSON_NUMBER_TYPES,
+    _require(_leaf_types(value, arr.ndim) <= _JSON_NUMBER_TYPES,
              "%s must hold only numbers and nulls" % what)
     return arr.reshape(shape)
+
+
+def _leaf_types(value, depth):
+    """Types of the scalars of `value`, lists nested regularly `depth` deep."""
+    for _ in range(depth - 1):
+        value = chain.from_iterable(value)
+    return set(map(type, value))
+
+
+def _pack_sample(obj):
+    """`load_dataset`'s object hook: a parsed object's numeric sample fields
+    that hold regular nested lists of JSON floats become float64 arrays, which
+    `.tolist()` turns back into the same lists.  Other values stay as parsed."""
+    for key in ("responses", "groundTruth", "features"):
+        value = obj.get(key)
+        if isinstance(value, list):
+            try:
+                arr = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                continue
+            if _leaf_types(value, arr.ndim) == {float}:
+                obj[key] = arr
+    return obj
+
+
+def _unpacked(value):
+    """A parsed value with every array `_pack_sample` made turned back into
+    its list, as the parser gave it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _unpacked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_unpacked(v) for v in value]
+    return value
 
 
 def _read_protocol(masks) -> ModelProtocol:
@@ -322,18 +365,20 @@ def load_dataset(path) -> ResponseDataset:
     Counts, `masks` entries and `visibilitySet` indices must be JSON integers,
     and numeric array entries JSON numbers or `null` (NaN), never strings or
     booleans.  `ResponseDataset` checks the values (finiteness, normalizer).
+    Each sample's numeric lists become arrays as soon as it is parsed; the
+    arrays and messages are those of converting the whole document at once.
     """
-    doc = _read_json(path, "dataset file")
+    doc = _read_json(path, "dataset file", object_hook=_pack_sample)
     _require(isinstance(doc, dict), "dataset document must be an object")
     _require(_is_int(doc.get("formatVersion"))
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
-             "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
+             "unsupported formatVersion: %r" % (_unpacked(doc.get("formatVersion")),))
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
     for key in counts + ("masks", "samples"):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
         _require(_is_int(doc[key]) and doc[key] >= 0,
-                 "%s must be a nonnegative integer: %r" % (key, doc[key]))
+                 "%s must be a nonnegative integer: %r" % (key, _unpacked(doc[key])))
     M, C, N, F = (doc[k] for k in counts)
     samples = doc["samples"]
     _require(isinstance(samples, list), "samples must be a list")
@@ -353,12 +398,15 @@ def load_dataset(path) -> ResponseDataset:
         _require(isinstance(vis, list), "sample %d missing visibilitySet" % m)
         for n in vis:
             _require(_is_int(n) and 0 <= n < N,
-                     "sample %d: visibility index out of range: %r" % (m, n))
+                     "sample %d: visibility index out of range: %r" % (m, _unpacked(n)))
         visible[m, vis] = True
 
     def column(key, shape):
-        return _float_array([rec.get(key) for rec in samples], (M,) + shape,
-                            "sample %s" % key)
+        values = [rec.get(key) for rec in samples]
+        if values and all(isinstance(v, np.ndarray) and v.shape == shape
+                          for v in values):
+            return np.stack(values)
+        return _float_array(_unpacked(values), (M,) + shape, "sample %s" % key)
 
     return ResponseDataset(
         protocol=protocol,
@@ -386,7 +434,7 @@ def save_metadata(yaw, cluster_id, path, cluster_centers=None):
     }
     if cluster_centers is not None:
         doc["clusterCenters"] = [float(c) for c in cluster_centers]
-    _atomic_write_text(path, json.dumps(doc))
+    _atomic_write(path, [json.dumps(doc)])
 
 
 def load_metadata(path):

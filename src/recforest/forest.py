@@ -14,6 +14,7 @@ costs under the parent rating, so an accepted split's gain is a true
 (nonnegative) cost reduction and a content-free split gains exactly zero.
 """
 
+import ctypes
 import logging
 import math
 import time
@@ -363,9 +364,30 @@ def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
 _shared = {}  # a pool worker's criteria and features, set by `_share`
 
 
+def _openblas_functions(names):
+    """The first of `names` that each OpenBLAS loaded in this process exports;
+    none where the memory map or a library cannot be read."""
+    found = []
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            found += [getattr(lib, name) for name in names if hasattr(lib, name)][:1]
+    except OSError:
+        pass
+    return found
+
+
 def _share(criteria, features):
-    """Pool initializer: the criteria and features of this worker's tasks."""
+    """Pool initializer: the criteria and features of this worker's tasks,
+    and one BLAS thread, so workers do not oversubscribe the cores."""
     _shared.update(criteria=criteria, features=features)
+    for set_threads in _openblas_functions(("scipy_openblas_set_num_threads64_",
+                                            "openblas_set_num_threads64_",
+                                            "openblas_set_num_threads")):
+        set_threads(1)
 
 
 def _grow_chunk(criterion, features, config, rows, trees):

@@ -134,8 +134,11 @@ class CompareConfig:
             raise ValueError("fold_count must be at least 2")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.pose_noise_deg < 0:
-            raise ValueError("pose_noise_deg must be nonnegative")
+        if not 0 <= self.pose_noise_deg < np.inf:
+            raise ValueError("pose_noise_deg must be finite and nonnegative")
+        if self.cluster_centers is not None and not np.isfinite(
+                np.asarray(self.cluster_centers, dtype=np.float64)).all():
+            raise ValueError("cluster_centers must be finite")
         self.train.validate()
 
 

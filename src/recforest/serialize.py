@@ -16,7 +16,7 @@ import sys
 from .classforest import ClassForest
 from .data import (
     SchemaError,
-    _atomic_write_text,
+    _atomic_write,
     _float_array,
     _is_int,
     _is_number,
@@ -64,7 +64,7 @@ def save_forest(forest, path) -> None:
         "masks": forest.protocol.masks.astype(int).tolist(),
         "trees": [_node_to_obj(t, key) for t in forest.trees],
     }
-    _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=1) + "\n"])
 
 
 def _is_finite_number(value):

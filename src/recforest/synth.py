@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import ModelProtocol, ResponseDataset
+from .data import _BLOCK, ModelProtocol, ResponseDataset
 from .seeds import derive_seed
 
 TOP_ANCHOR = 0
@@ -24,7 +24,6 @@ CHIN_ANCHOR = 2
 _RING_SPAN_DEG = 110.0
 _RING_HEIGHTS = (0.25, -0.05, -0.35)
 _RING_RADII = (0.8, 0.45)  # ellipse semi-axes (x, z)
-_BLOCK = 128  # samples per block in `generate`
 
 
 @dataclass(frozen=True)

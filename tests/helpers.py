@@ -1,10 +1,23 @@
 """Shared builders for small synthetic fixtures used across test modules."""
 
+import json
 import math
 
 import numpy as np
 
-from recforest.data import ModelProtocol, ResponseDataset, rating_vector
+from recforest.data import (
+    _SAMPLE_KEYS,
+    DATASET_FORMAT_VERSION,
+    ModelProtocol,
+    ResponseDataset,
+    _atomic_write,
+    _float_array,
+    _is_int,
+    _read_json,
+    _read_protocol,
+    _require,
+    rating_vector,
+)
 from recforest.forest import SplitParams
 from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, solve
@@ -228,3 +241,86 @@ def generate_per_sample(config: GenConfig):
         normalizer=normalizer,
     )
     return dataset, metadata
+
+
+# ---------------------------------------------------------------------------
+# Dataset file, whole document at once: a reference for the block writer and
+# the per-sample packing reader of `recforest.data`
+# ---------------------------------------------------------------------------
+
+def save_dataset_whole(dataset: ResponseDataset, path):
+    """`data.save_dataset`, building the document as one JSON value."""
+    gt = dataset.ground_truth.copy()
+    gt[~dataset.visible] = np.nan
+    columns = zip(dataset.responses.tolist(), gt.tolist(),
+                  [np.flatnonzero(row).tolist() for row in dataset.visible],
+                  dataset.features.tolist(), dataset.normalizer.tolist())
+    doc = {
+        "formatVersion": DATASET_FORMAT_VERSION,
+        "sampleCount": dataset.sample_count,
+        "modelCount": dataset.model_count,
+        "landmarkCount": dataset.landmark_count,
+        "featureCount": dataset.feature_count,
+        "masks": dataset.protocol.masks.astype(int).tolist(),
+        "samples": [dict(zip(_SAMPLE_KEYS, values)) for values in columns],
+    }
+    _atomic_write(path, [json.dumps(doc)])
+
+
+def assert_same_dataset(got, want):
+    """Every array byte for byte, NaN positions included, and the protocol."""
+    for name in ("responses", "ground_truth", "visible", "features", "normalizer"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.protocol == want.protocol
+
+
+def load_dataset_whole(path) -> ResponseDataset:
+    """`data.load_dataset`, converting the columns after the whole document
+    is parsed."""
+    doc = _read_json(path, "dataset file")
+    _require(isinstance(doc, dict), "dataset document must be an object")
+    _require(_is_int(doc.get("formatVersion"))
+             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
+             "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
+    counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
+    for key in counts + ("masks", "samples"):
+        _require(key in doc, "missing dataset field: %s" % key)
+    for key in counts:
+        _require(_is_int(doc[key]) and doc[key] >= 0,
+                 "%s must be a nonnegative integer: %r" % (key, doc[key]))
+    M, C, N, F = (doc[k] for k in counts)
+    samples = doc["samples"]
+    _require(isinstance(samples, list), "samples must be a list")
+    protocol = _read_protocol(doc["masks"])
+    _require(protocol.masks.shape == (C, N), "masks shape does not match header C, N")
+    _require(protocol.feature_count == F,
+             "featureCount header disagrees with masks: %d != %d"
+             % (F, protocol.feature_count))
+    _require(len(samples) == M,
+             "sampleCount header disagrees with record count: %d != %d"
+             % (M, len(samples)))
+
+    visible = np.zeros((M, N), dtype=bool)
+    for m, rec in enumerate(samples):
+        _require(isinstance(rec, dict), "sample %d is not an object" % m)
+        vis = rec.get("visibilitySet")
+        _require(isinstance(vis, list), "sample %d missing visibilitySet" % m)
+        for n in vis:
+            _require(_is_int(n) and 0 <= n < N,
+                     "sample %d: visibility index out of range: %r" % (m, n))
+        visible[m, vis] = True
+
+    def column(key, shape):
+        return _float_array([rec.get(key) for rec in samples], (M,) + shape,
+                            "sample %s" % key)
+
+    return ResponseDataset(
+        protocol=protocol,
+        responses=column("responses", (C, N, 2)),
+        ground_truth=column("groundTruth", (N, 2)),
+        visible=visible,
+        features=column("features", (F,)),
+        normalizer=column("normalizer", ()),
+    )

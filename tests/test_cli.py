@@ -372,6 +372,34 @@ class TestCompare:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--pose-noise=nan", "pose_noise_deg"),
+            ("--pose-noise=inf", "pose_noise_deg"),
+            ("--centers=nan,0,10,20,30", "cluster_centers"),
+            ("metadata", "cluster_centers"),
+        ],
+    )
+    def test_non_finite_value_fails_cleanly(self, tmp_path, capsys, flag, field):
+        data = _gen(tmp_path)
+        extra = [flag]
+        if flag == "metadata":  # NaN in the centers `gen` stored
+            path = os.path.join(data, "metadata.json")
+            text = open(path).read()
+            doc = json.loads(text)
+            doc["clusterCenters"][0] = float("nan")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            assert "NaN" in open(path).read() and "NaN" not in text
+            extra = []
+        capsys.readouterr()
+        assert main(["compare", "--data", data, "--folds", "2", "--trees", "1",
+                     *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_strategy(self, tmp_path, capsys):
         data = _gen(tmp_path)
         rc = main(self._compare(data, ("--strategies", "oracle")))

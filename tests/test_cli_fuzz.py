@@ -1,11 +1,13 @@
-"""Command line fuzzing: `gen --config` with every generator field drawn.
+"""Command line fuzzing: `gen --config` with every generator field drawn,
+and `compare --config` with every comparison and training field drawn.
 
 Each field of the config document gets a valid value, or, for a drawn set
 of at most two fields, a wrong JSON type, a non-finite number or an
 out-of-range number.  The command must then exit 0, or exit 1 with a
 single `error:` line; an exception escaping `main` would reach the user as
 a traceback.  Sample and landmark counts stay small (at most 64 and 32)
-or invalid, never large, so no example can ask for a huge allocation.
+or invalid, never large, so no example can ask for a huge allocation.  A
+`compare` document with an invalid field must exit 1.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recforest.cli import main
+from recforest.metrics import STRATEGIES
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 TOO_LARGE = [2 ** 1100, -(2 ** 1100)]  # JSON integers too large for a float
@@ -90,6 +93,117 @@ def test_gen_config_exits_cleanly(fuzz_dir, doc):
         rc = main(["gen", "--out", str(fuzz_dir / "data"), "--config", str(path)])
     if rc == 0:
         assert out.getvalue().startswith("M=%d " % doc["sample_count"])
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# compare
+# ---------------------------------------------------------------------------
+
+_WRONG_TYPES = [None, True, "1", [], {}]
+
+
+def _field(valid, invalid, optional=False, is_list=False):
+    """(valid values, invalid values): the given ones plus the wrong JSON
+    types, without those the field accepts."""
+    wrong = [v for v in _WRONG_TYPES
+             if not (optional and v is None or is_list and v == [])]
+    return valid, st.sampled_from(invalid + wrong)
+
+
+# Every prior baseline needs centers, so each valid strategy list has one.
+STRATEGY_LISTS = st.sets(st.sampled_from(
+    [s for s in STRATEGIES if s != "noisy-prior"])).map(
+    lambda rest: ["noisy-prior"] + sorted(rest))
+
+COMPARE_FIELDS = {
+    "strategies": _field(STRATEGY_LISTS, [[], ["oracle"], "rec-forest", [1]],
+                         is_list=True),
+    "fold_count": _field(st.just(2), [1, 0, -2, 2.0, math.nan]),
+    "validation_fraction": _field(
+        st.floats(0.1, 0.5), [0.0, 1.0, -0.5] + NON_FINITE + TOO_LARGE),
+    "pose_noise_deg": _field(st.floats(0.0, 40.0), [-1.0] + NON_FINITE + TOO_LARGE),
+    "cluster_centers": _field(
+        st.lists(st.floats(-85.0, 85.0), min_size=5, max_size=5),
+        [[math.nan, 0.0, 10.0, 20.0, 30.0], [-30.0, 0.0, math.inf, 20.0, 30.0],
+         [-math.inf] * 5, [0.0, 10.0, 20.0], [2 ** 1100, 0.0, 10.0, 20.0, 30.0]],
+        is_list=True),
+    "rng_seed": _field(st.integers(-(2 ** 70), 2 ** 70), [1.5] + NON_FINITE),
+}
+
+TRAIN_FIELDS = {
+    "tree_count": _field(st.just(1), [0, -1, 1.0, math.nan, math.inf]),
+    "max_depth": _field(st.integers(0, 4), [-1, 2.5, math.nan]),
+    "min_samples_per_leaf": _field(st.integers(1, 8), [0, -3, math.inf]),
+    "candidate_feature_count": _field(st.none() | st.integers(1, 6),
+                                      [0, -1, math.nan], optional=True),
+    "candidate_threshold_count": _field(st.integers(1, 6), [0, -1, math.inf]),
+    "min_gain": _field(st.floats(0.0, 0.1), [-1e-3, math.nan, -math.inf] + TOO_LARGE),
+    "bootstrap_fraction": _field(
+        st.floats(0.3, 1.0), [0.0, 1.5, -0.2] + NON_FINITE + TOO_LARGE),
+    "rng_seed": _field(st.integers(0, 2 ** 32), [0.5, math.nan]),
+}
+
+
+FIELDS_AND_TRAIN = dict(COMPARE_FIELDS, **{"train." + name: values
+                                           for name, values in TRAIN_FIELDS.items()})
+
+
+@st.composite
+def compare_documents(draw):
+    """(document, whether any field is invalid).  A drawn "train" replaces
+    the train object with a value that is not an object."""
+    bad = draw(st.sets(st.sampled_from(sorted(FIELDS_AND_TRAIN) + ["train"]),
+                       max_size=2))
+    doc = {"train": {}}
+    for name, (valid, invalid) in FIELDS_AND_TRAIN.items():
+        value = draw(invalid if name in bad else valid)
+        if name.startswith("train."):
+            doc["train"][name[len("train."):]] = value
+        else:
+            doc[name] = value
+    if "train" in bad:
+        doc["train"] = draw(st.sampled_from([None, True, 1, "x", []]))
+    return doc, bool(bad)
+
+
+COMPARE_VALID = {
+    "strategies": list(STRATEGIES), "fold_count": 2, "validation_fraction": 0.2,
+    "pose_noise_deg": 25.0, "cluster_centers": [-60.0, -30.0, 0.0, 30.0, 60.0],
+    "rng_seed": 0,
+    "train": {"tree_count": 1, "max_depth": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def compare_data(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("compare-fuzz") / "data")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", out, "--m", "40", "--n", "6", "--seed", "1"]) == 0
+    return out
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(case=compare_documents())
+@example(case=(dict(COMPARE_VALID, pose_noise_deg=math.nan), True))
+@example(case=(dict(COMPARE_VALID, pose_noise_deg=math.inf), True))
+@example(case=(dict(COMPARE_VALID, cluster_centers=[math.nan, 0.0, 10.0, 20.0, 30.0]),
+               True))
+def test_compare_config_exits_cleanly(compare_data, tmp_path_factory, case):
+    doc, invalid = case
+    path = tmp_path_factory.getbasetemp() / "compare.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["compare", "--data", compare_data, "--config", str(path)])
+    if invalid:
+        assert rc == 1
+    if rc == 0:
+        assert out.getvalue().startswith("strategy")
         assert err.getvalue() == ""
     else:
         assert rc == 1

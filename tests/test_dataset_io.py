@@ -1,10 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import (
+    assert_same_dataset,
+    load_dataset_whole,
+    random_dataset,
+    save_dataset_whole,
+)
 from recforest.data import (
+    _BLOCK,
     ResponseDataset,
     SchemaError,
     load_dataset,
@@ -12,6 +19,15 @@ from recforest.data import (
     save_dataset,
     save_metadata,
 )
+from recforest.synth import generate, preset_config
+
+
+@pytest.fixture(scope="module")
+def preset_dataset():
+    """The preset pool (M=2000), whose ground truth is NaN where occluded."""
+    dataset, _ = generate(preset_config("aflw-like-5view"))
+    assert np.isnan(dataset.ground_truth).any()
+    return dataset
 
 
 class TestDatasetValidation:
@@ -114,6 +130,105 @@ class TestDatasetRoundTrip:
         ds = random_dataset(np.random.default_rng(0), M=2)
         save_dataset(ds, tmp_path / "d.json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
+
+class TestBlockWriterAndPackingReader:
+    """`save_dataset` and `load_dataset` against the whole-document writer
+    and reader of `tests/helpers.py`."""
+
+    @pytest.mark.parametrize("M", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1])
+    def test_bytes_equal_whole_document(self, tmp_path, M):
+        ds = random_dataset(np.random.default_rng(M), M=M, C=3, N=5)
+        save_dataset(ds, tmp_path / "blocks.json")
+        save_dataset_whole(ds, tmp_path / "whole.json")
+        data = (tmp_path / "blocks.json").read_bytes()
+        assert data == (tmp_path / "whole.json").read_bytes()
+        assert_same_dataset(load_dataset(tmp_path / "blocks.json"),
+                            load_dataset_whole(tmp_path / "whole.json"))
+
+    def test_preset_bytes_and_arrays(self, tmp_path, preset_dataset):
+        save_dataset(preset_dataset, tmp_path / "blocks.json")
+        save_dataset_whole(preset_dataset, tmp_path / "whole.json")
+        assert ((tmp_path / "blocks.json").read_bytes()
+                == (tmp_path / "whole.json").read_bytes())
+        back = load_dataset(tmp_path / "blocks.json")
+        assert_same_dataset(back, load_dataset_whole(tmp_path / "blocks.json"))
+        assert np.array_equal(back.responses, preset_dataset.responses)
+
+    def test_foreign_layout_loads_equal(self, tmp_path):
+        """Indented, with the samples before the header."""
+        ds = random_dataset(np.random.default_rng(8), M=_BLOCK + 3)
+        save_dataset(ds, tmp_path / "d.json")
+        doc = json.loads((tmp_path / "d.json").read_text())
+        (tmp_path / "foreign.json").write_text(
+            json.dumps(dict(reversed(doc.items())), indent=2))
+        assert list(json.loads((tmp_path / "foreign.json").read_text()))[0] == "samples"
+        assert_same_dataset(load_dataset(tmp_path / "foreign.json"),
+                            load_dataset(tmp_path / "d.json"))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(formatVersion={"features": [0.5, 1.5]}),
+            lambda d: d.update(sampleCount={"responses": [[1.0, -0.0]]}),
+            lambda d: d["samples"][1]["visibilitySet"].append(
+                {"groundTruth": [1.0, float("nan")]}),
+            lambda d: d["samples"][0]["features"].__setitem__(0, 1),
+            lambda d: d["samples"][2]["features"].__setitem__(1, None),
+            lambda d: d["samples"][1]["features"].append(0.5),
+            lambda d: d["samples"][2]["responses"][0].pop(),
+            lambda d: d["samples"][0]["groundTruth"].__setitem__(0, [1.0, "x"]),
+            lambda d: d["samples"][1]["responses"][1].__setitem__(0, [1.0, 2 ** 1100]),
+            lambda d: d["samples"][0].update(features=[{"features": [1.0]}]),
+            lambda d: d.update(samples=[]),
+        ],
+        ids=[
+            "packable-in-version",
+            "packable-in-count",
+            "packable-in-visibility-set",
+            "int-feature",
+            "null-feature",
+            "long-features",
+            "short-responses",
+            "string-ground-truth",
+            "huge-int-response",
+            "packed-object-in-features",
+            "no-samples",
+        ],
+    )
+    def test_same_result_as_whole_document(self, tmp_path, mutate):
+        """Values the hook leaves as parsed, and arrays it packed outside a
+        sample, give the whole-document reader's arrays or message."""
+        ds = random_dataset(np.random.default_rng(5), M=3)
+        save_dataset(ds, tmp_path / "d.json")
+        doc = json.loads((tmp_path / "d.json").read_text())
+        mutate(doc)
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        try:
+            want = load_dataset_whole(tmp_path / "d.json")
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as got:
+                load_dataset(tmp_path / "d.json")
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_dataset(load_dataset(tmp_path / "d.json"), want)
+
+    def test_peak_memory_at_preset(self, tmp_path, preset_dataset):
+        """Neither function holds the whole document as Python objects: the
+        whole-document pair peaks near 37 and 32 MB here."""
+        path = tmp_path / "d.json"
+        peaks = []
+        for call in (lambda: save_dataset(preset_dataset, path),
+                     lambda: load_dataset(path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 12.0, "save_dataset peak %.1f MB" % peaks[0]
+        assert peaks[1] <= 22.0, "load_dataset peak %.1f MB" % peaks[1]
 
 
 class TestDatasetLoadRejections:

@@ -4,7 +4,9 @@ replaced.
 Any value at any depth, containers and the document itself included, is
 swapped for a random JSON value.  The loader must then either return or
 raise SchemaError; any other exception would reach the command line as a
-traceback.
+traceback.  The dataset loader must also agree with the whole-document
+reader of `tests/helpers.py`: the same arrays, byte for byte, or a
+SchemaError with the same message.
 """
 
 import copy
@@ -23,7 +25,7 @@ from recforest.data import (
 )
 from recforest.serialize import load_forest
 
-from helpers import random_dataset
+from helpers import assert_same_dataset, load_dataset_whole, random_dataset
 from test_serialize import _valid_doc
 
 JSON_VALUES = st.recursive(
@@ -93,12 +95,25 @@ def test_unmodified_documents_load(fuzz_dir, dataset_doc):
     assert len(load_forest(path).trees) == 1
 
 
+def _loaded_or_message(load, path):
+    try:
+        return load(path)
+    except SchemaError as exc:
+        return "SchemaError: %s" % exc
+
+
 @FUZZ
 @given(data=st.data(), value=JSON_VALUES)
 def test_dataset_loader_raises_only_schema_errors(fuzz_dir, dataset_doc, data, value):
     position = data.draw(st.sampled_from(list(_positions(dataset_doc))))
-    _loads_or_rejects(load_dataset, _replaced(dataset_doc, position, value),
-                      fuzz_dir / "dataset.json")
+    path = fuzz_dir / "dataset.json"
+    path.write_text(json.dumps(_replaced(dataset_doc, position, value)))
+    got = _loaded_or_message(load_dataset, path)
+    want = _loaded_or_message(load_dataset_whole, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_dataset(got, want)
 
 
 @FUZZ

@@ -415,6 +415,11 @@ class TestCompareConfigValidation:
             {"validation_fraction": 0.0},
             {"validation_fraction": 1.0},
             {"pose_noise_deg": -1.0},
+            {"pose_noise_deg": float("nan")},
+            {"pose_noise_deg": float("inf")},
+            {"cluster_centers": (float("nan"), 0.0, 10.0, 20.0, 30.0)},
+            {"cluster_centers": (-30.0, float("-inf"))},
+            {"cluster_centers": (0.0, float("inf"))},
         ],
     )
     def test_rejections(self, kwargs):

@@ -465,6 +465,42 @@ def test_blas_thread_count_does_not_change_forest(tmp_path):
     assert files[0] == files[1]
 
 
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+_BLAS_SETTERS = tuple(name.replace("_get_", "_set_") for name in _BLAS_GETTERS)
+
+
+def _blas_threads():
+    from recforest.forest import _openblas_functions
+
+    return [get() for get in _openblas_functions(_BLAS_GETTERS)]
+
+
+def test_pool_workers_run_one_blas_thread():
+    """`_share` gives each pool worker one BLAS thread and leaves the calling
+    process's setting alone."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from recforest.forest import _openblas_functions, _share
+
+    setters = _openblas_functions(_BLAS_SETTERS)
+    before = _blas_threads()
+    if not before or len(setters) != len(before):
+        pytest.skip("no OpenBLAS thread-count functions found")
+    try:
+        for set_threads in setters:
+            set_threads(2)
+        if _blas_threads() != [2] * len(before):
+            pytest.skip("OpenBLAS cannot run two threads here")
+        with ProcessPoolExecutor(max_workers=1, initializer=_share,
+                                 initargs=({}, None)) as pool:
+            assert pool.submit(_blas_threads).result() == [1] * len(before)
+        assert _blas_threads() == [2] * len(before)
+    finally:
+        for set_threads, count in zip(setters, before):
+            set_threads(count)
+
+
 def _train_error(forest, ds):
     from recforest.forest import predict_many
 
