@@ -20,7 +20,9 @@
 # top-level keys reversed so the samples come before the header); compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
-# --workers 3, so every fold maps its draws onto dataset rows.
+# --workers 3, so every fold maps its draws onto dataset rows; compare with
+# curve files on a 40-sample gen (seed 3) over 40 folds, leave-one-out, the
+# most folds the sample count allows, at --workers 2.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -80,6 +82,9 @@ json.dump(dict(reversed(doc.items())), open(sys.argv[2], "w"), indent=2)' \
     cli compare --data "$out/data" --out "$out/compare-bootstrap-w3" \
         --config "$work/compare-bootstrap.json" --workers 3 \
         > "$out/compare-bootstrap-w3.txt"
+    cli gen --out "$out/data-loo" --m 40 --seed 3 > "$out/gen-loo.txt"
+    cli compare --data "$out/data-loo" --folds 40 --out "$out/compare-loo" \
+        --workers 2 > "$out/compare-loo.txt"
 }
 
 run_all "$work/base/src" "$work/base-out"

@@ -37,13 +37,14 @@ STRATEGIES = (
 
 @dataclass
 class EvalReport:
-    """Pooled evaluation results for one strategy."""
+    """Pooled evaluation results for one strategy.  The curves are (P, 2)
+    float64 arrays of (threshold, fraction) and (recall, precision) rows."""
 
     mean_error: float
     visibility_accuracy: float
     visibility_ap: float | None
-    ced_curve: list
-    pr_curve: list
+    ced_curve: np.ndarray
+    pr_curve: np.ndarray
     per_sample_errors: np.ndarray
 
 
@@ -67,8 +68,9 @@ def visibility_scores(confidences, flags, visible_truth):
     landmarks by score = 1 - confidence with invisible as the positive
     class: sum of precision at each positive divided by the positive count,
     computed blockwise over distinct scores so ties share one operating
-    point.  No positives in the ground truth makes AP undefined; it is
-    returned as None, and the curve is empty.
+    point; `pr_curve` is a (P, 2) float64 array of their (recall,
+    precision) rows.  No positives in the ground truth makes AP undefined;
+    it is returned as None, and the curve is `np.empty((0, 2))`.
     """
     conf = np.asarray(confidences, dtype=np.float64).ravel()
     flg = np.asarray(flags, dtype=bool).ravel()
@@ -81,7 +83,7 @@ def visibility_scores(confidences, flags, visible_truth):
     positive = ~vis
     total_pos = int(positive.sum())
     if total_pos == 0:
-        return accuracy, None, []
+        return accuracy, None, np.empty((0, 2))
     scores = 1.0 - conf
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
@@ -94,20 +96,19 @@ def visibility_scores(confidences, flags, visible_truth):
     recall = cum_pos[ends] / total_pos
     gained = np.diff(np.concatenate([[0], cum_pos[ends]]))
     ap = float(np.sum(gained * precision) / total_pos)
-    pr_curve = list(zip(recall.tolist(), precision.tolist()))
-    return accuracy, ap, pr_curve
+    return accuracy, ap, np.column_stack([recall, precision])
 
 
 def ced_curve(per_sample_errors, thresholds):
-    """Cumulative error distribution: fraction of samples at or below each
-    threshold.  Thresholds are sorted so the curve is non-decreasing."""
+    """Cumulative error distribution: a (P, 2) float64 array of (threshold,
+    fraction) rows, the fraction of samples at or below each threshold (0 at
+    a NaN threshold).  Thresholds are sorted so the curve is non-decreasing."""
     errors = np.asarray(per_sample_errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise ValueError("no sample errors to summarize")
-    out = []
-    for t in np.sort(np.asarray(thresholds, dtype=np.float64).ravel()):
-        out.append((float(t), float(np.mean(errors <= t))))
-    return out
+    t = np.sort(np.asarray(thresholds, dtype=np.float64).ravel())
+    counts = np.searchsorted(np.sort(errors), t, side="right")
+    return np.column_stack([t, np.where(np.isnan(t), 0, counts) / errors.size])
 
 
 @dataclass(frozen=True)
@@ -259,12 +260,15 @@ def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1)
     yaw and cluster_id are the generator metadata arrays; yaw feeds the
     noisy-prior baseline and cluster_id labels the classification forest.
     Returns {strategy: EvalReport} with errors pooled over every sample's
-    single test-fold appearance.  One criterion pair and, with
+    single test-fold appearance; `config.fold_count` may be at most the
+    sample count (leave-one-out).  One criterion pair and, with
     `workers > 1`, one pool serve every fold; its workers get the criteria
     once.  Reports are identical at any worker count.
     """
     config.validate()
     M = dataset.sample_count
+    if config.fold_count > M:
+        raise ValueError("fold_count must be at most the sample count, %d" % M)
     yaw = np.asarray(yaw, dtype=np.float64)
     if yaw.shape != (M,) or not np.all(np.isfinite(yaw)):
         raise ValueError("yaw must be (M,) finite")

@@ -324,3 +324,42 @@ def load_dataset_whole(path) -> ResponseDataset:
         features=column("features", (F,)),
         normalizer=column("normalizer", ()),
     )
+
+
+# ---------------------------------------------------------------------------
+# Curves as lists of (x, y) float tuples: a reference for the (P, 2) arrays
+# of `metrics.ced_curve` and `metrics.visibility_scores`
+# ---------------------------------------------------------------------------
+
+def ced_curve_points(per_sample_errors, thresholds):
+    """`metrics.ced_curve`, one `np.mean(errors <= t)` per sorted threshold."""
+    errors = np.asarray(per_sample_errors, dtype=np.float64).ravel()
+    out = []
+    for t in np.sort(np.asarray(thresholds, dtype=np.float64).ravel()):
+        out.append((float(t), float(np.mean(errors <= t))))
+    return out
+
+
+def pr_curve_points(confidences, visible_truth):
+    """The (recall, precision) points of `metrics.visibility_scores`: one per
+    distinct score 1 - confidence, falling, with invisible as positive."""
+    conf = np.asarray(confidences, dtype=np.float64).ravel()
+    positive = ~np.asarray(visible_truth, dtype=bool).ravel()
+    total_pos = int(positive.sum())
+    if total_pos == 0:
+        return []
+    scores = 1.0 - conf
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    cum_pos = np.cumsum(positive[order])
+    last = np.ones(conf.size, dtype=bool)
+    last[:-1] = s_sorted[:-1] != s_sorted[1:]
+    ends = np.nonzero(last)[0]
+    precision = cum_pos[ends] / (ends + 1.0)
+    recall = cum_pos[ends] / total_pos
+    return list(zip(recall.tolist(), precision.tolist()))
+
+
+def curve_bits(points):
+    """Rows of a curve as `float.hex` strings, so equal means bit for bit."""
+    return [[float.hex(float(v)) for v in row] for row in points]

@@ -406,6 +406,15 @@ class TestCompare:
         assert rc == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("folds", ["81", "1000"])
+    def test_more_folds_than_samples_fails_cleanly(self, tmp_path, capsys, folds):
+        data = _gen(tmp_path)  # 80 samples
+        capsys.readouterr()
+        assert main(self._compare(data, ("--folds", folds))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fold_count must be at most the sample count, 80\n"
+
 
 def _split_chain(depth, leaf):
     """Forest-file text of a tree whose left spine is `depth` splits deep."""

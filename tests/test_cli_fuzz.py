@@ -1,5 +1,6 @@
 """Command line fuzzing: `gen --config` with every generator field drawn,
-and `compare --config` with every comparison and training field drawn.
+`compare --config` with every comparison and training field drawn, and the
+`predict` and `eval` arguments.
 
 Each field of the config document gets a valid value, or, for a drawn set
 of at most two fields, a wrong JSON type, a non-finite number or an
@@ -123,7 +124,7 @@ STRATEGY_LISTS = st.sets(st.sampled_from(
 COMPARE_FIELDS = {
     "strategies": _field(STRATEGY_LISTS, [[], ["oracle"], "rec-forest", [1]],
                          is_list=True),
-    "fold_count": _field(st.just(2), [1, 0, -2, 2.0, math.nan]),
+    "fold_count": _field(st.just(2), [1, 0, -2, 2.0, math.nan, 41, 1000]),
     "validation_fraction": _field(
         st.floats(0.1, 0.5), [0.0, 1.0, -0.5] + NON_FINITE + TOO_LARGE),
     "pose_noise_deg": _field(st.floats(0.0, 40.0), [-1.0] + NON_FINITE + TOO_LARGE),
@@ -189,6 +190,9 @@ def compare_data(tmp_path_factory):
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
 @given(case=compare_documents())
+@example(case=(dict(COMPARE_VALID, fold_count=41), True))
+@example(case=(dict(COMPARE_VALID, fold_count=1000), True))
+@example(case=(dict(COMPARE_VALID, fold_count=40), False))
 @example(case=(dict(COMPARE_VALID, pose_noise_deg=math.nan), True))
 @example(case=(dict(COMPARE_VALID, pose_noise_deg=math.inf), True))
 @example(case=(dict(COMPARE_VALID, cluster_centers=[math.nan, 0.0, 10.0, 20.0, 30.0]),
@@ -209,3 +213,107 @@ def test_compare_config_exits_cleanly(compare_data, tmp_path_factory, case):
         assert rc == 1
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# predict / eval
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def predict_files(tmp_path_factory):
+    """(directory, data directory, forest files): a rec and a class forest
+    trained on the data, and a rec forest of another protocol."""
+    root = tmp_path_factory.mktemp("predict-fuzz")
+    data, other = str(root / "data"), str(root / "other")
+    forests = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", data, "--m", "40", "--n", "6", "--seed", "1"]) == 0
+        assert main(["gen", "--out", other, "--m", "20", "--n", "6",
+                     "--centers=-30,30", "--seed", "2"]) == 0
+        for name, source, method in (("rec", data, "rec"), ("class", data, "class"),
+                                     ("foreign", other, "rec")):
+            forests[name] = str(root / ("%s.json" % name))
+            assert main(["train", "--data", source, "--out", forests[name],
+                         "--method", method, "--trees", "2", "--max-depth", "3"]) == 0
+    return root, data, forests
+
+
+@st.composite
+def predict_eval_cases(draw):
+    """One `predict` or `eval` run: forest kind, a cut of the forest file to
+    a drawn fraction of its bytes (None keeps it whole), and the values of
+    --selector, --format (eval) and --out (None, a file, or a file in a
+    missing directory).  "oracle" and "csv" are not valid choices."""
+    command = draw(st.sampled_from(["predict", "eval"]))
+    return dict(
+        command=command,
+        forest=draw(st.sampled_from(["rec", "class"] * 2 + ["foreign"])),
+        cut=draw(st.floats(0.0, 1.0)) if draw(st.integers(0, 3)) == 0 else None,
+        selector=draw(st.sampled_from([None, "top-vote", "posterior-rating", "oracle"])),
+        format=draw(st.sampled_from([None, "table", "records", "csv"]))
+        if command == "eval" else None,
+        out=draw(st.sampled_from(["file", "file", "missing"]
+                                 + [None, None] * (command == "eval"))),
+    )
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)`; a usage error that
+    argparse raises as SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=80, database=None, deadline=None)
+@given(case=predict_eval_cases())
+@example(case=dict(command="eval", forest="class", cut=None, selector="posterior-rating",
+                   format="records", out="file"))
+@example(case=dict(command="predict", forest="rec", cut=0.5, selector=None,
+                   format=None, out="file"))
+@example(case=dict(command="predict", forest="foreign", cut=None, selector=None,
+                   format=None, out="file"))
+@example(case=dict(command="eval", forest="rec", cut=None, selector=None,
+                   format="table", out="missing"))
+def test_predict_and_eval_exit_cleanly(predict_files, case):
+    """Exit 0; or exit 1 with one `error:` line for a truncated forest file,
+    a forest of another protocol or an --out in a missing directory; or,
+    for a value that is not a valid choice, argparse's usage error (exit 2,
+    its last line `error:`).  Never a traceback."""
+    root, data, forests = predict_files
+    forest = forests[case["forest"]]
+    broken = False
+    if case["cut"] is not None:
+        text = open(forest, "rb").read()
+        kept = text[:int(case["cut"] * len(text))]
+        broken = kept.rstrip() != text.rstrip()
+        forest = str(root / "cut.json")
+        with open(forest, "wb") as fh:
+            fh.write(kept)
+    out = {"file": str(root / "out.txt"), "missing": str(root / "missing" / "out.txt"),
+           None: None}[case["out"]]
+    argv = [case["command"], "--forest", forest, "--data", data]
+    for flag, value in (("--selector", case["selector"]), ("--format", case["format"]),
+                        ("--out", out)):
+        if value is not None:
+            argv += [flag, value]
+    rc, stdout, stderr = _run_main(argv)
+    assert "Traceback" not in stderr
+    if case["selector"] == "oracle" or case["format"] == "csv":
+        assert rc == 2
+        assert stderr.splitlines()[-1].startswith("recforest %s: error: " % case["command"])
+    elif broken or case["forest"] == "foreign" or case["out"] == "missing":
+        assert rc == 1
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    else:
+        assert rc == 0 and stderr == ""
+        if case["command"] == "predict":
+            assert json.loads(open(out).read())["sampleCount"] == 40
+        elif case["format"] == "records":
+            assert json.loads(stdout)["formatVersion"] == 1
+        else:
+            assert stdout.startswith("mean-error ")

@@ -1,10 +1,14 @@
 """Evaluation metrics and the cross-validated strategy comparison."""
 
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import ced_curve_points, curve_bits, pr_curve_points
+from hypothesis import example, given, settings, strategies as st
 
 from recforest import classforest, forest
 from recforest.classforest import ClassForest, derive_labels, train_class_forest
@@ -13,6 +17,7 @@ from recforest.forest import RecForest, RecTrainConfig, train_forest
 from recforest.metrics import (
     STRATEGIES,
     CompareConfig,
+    _eval_report,
     _sample_errors,
     _train_folds,
     ced_curve,
@@ -107,7 +112,8 @@ class TestVisibilityScores:
         vis = np.array([True] * 5 + [False] * 3)
         _, ap, pr = visibility_scores(conf, conf >= 0.5, vis)
         assert ap == pytest.approx(3.0 / 8.0, abs=1e-12)
-        assert pr == [(1.0, 3.0 / 8.0)]
+        assert pr.shape == (1, 2) and pr.dtype == np.float64
+        assert pr.tolist() == [[1.0, 3.0 / 8.0]]
 
     def test_perfect_separation(self):
         conf = np.array([0.9, 0.8, 0.1, 0.2])
@@ -121,7 +127,8 @@ class TestVisibilityScores:
         vis = np.array([True, True])
         acc, ap, pr = visibility_scores(conf, conf >= 0.5, vis)
         assert ap is None
-        assert pr == []
+        assert pr.shape == (0, 2) and pr.dtype == np.float64
+        assert pr.tolist() == []
         assert acc == 1.0
 
     def test_permutation_invariance(self):
@@ -157,12 +164,14 @@ class TestVisibilityScores:
 class TestCedCurve:
     def test_all_zero_errors(self):
         curve = ced_curve(np.zeros(5), [0.0, 1.0, 2.0])
-        assert curve == [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
+        assert curve.shape == (3, 2) and curve.dtype == np.float64
+        assert curve.tolist() == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
 
     def test_fractions(self):
         curve = ced_curve([1.0, 2.0, 3.0], [2.0, 3.0])
-        assert curve[0] == (2.0, pytest.approx(2.0 / 3.0, abs=1e-12))
-        assert curve[1] == (3.0, 1.0)
+        assert curve.shape == (2, 2) and curve.dtype == np.float64
+        assert curve.tolist()[0] == [2.0, pytest.approx(2.0 / 3.0, abs=1e-12)]
+        assert curve.tolist()[1] == [3.0, 1.0]
 
     def test_thresholds_sorted(self):
         curve = ced_curve([1.0, 2.0], [5.0, 0.5])
@@ -180,6 +189,106 @@ class TestCedCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ced_curve([], [1.0])
+
+
+# Values that tie, sit on a threshold, or are signed zeros and infinities.
+CURVE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1e-300, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 7.5, math.inf, -math.inf]
+)
+
+
+@st.composite
+def ced_cases(draw):
+    """(errors, thresholds), some thresholds equal to an error value."""
+    errors = draw(st.lists(CURVE_VALUES | st.floats(0.0, 100.0) | st.just(math.nan),
+                           min_size=1, max_size=30))
+    thresholds = draw(st.lists(st.sampled_from(errors) | CURVE_VALUES
+                               | st.floats(allow_nan=True), max_size=12))
+    return errors, thresholds
+
+
+@st.composite
+def visibility_cases(draw):
+    """(confidences, visible): tied, all-equal, or without positives."""
+    n = draw(st.integers(1, 40))
+    conf = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        conf = [conf[0]] * n
+    visible = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(conf), np.array(visible)
+
+
+def _preset_report_inputs(decimals=None):
+    """(errors, confidences, flags, visible) shaped like one preset compare:
+    2,000 samples of 12 landmarks.  Three samples have no visible landmark
+    and a NaN error, as `_sample_errors` gives them.  Confidences are
+    rounded to `decimals` places when given, so that many tie."""
+    rng = np.random.default_rng(12)
+    visible = rng.random((2000, 12)) < 0.8
+    visible[:3] = False
+    errors = rng.exponential(3.0, size=2000)
+    errors[:3] = np.nan
+    conf = rng.random((2000, 12))
+    if decimals is not None:
+        conf = np.round(conf, decimals)
+    return errors, conf, conf >= 0.5, visible
+
+
+class TestCurvesMatchListOracle:
+    """The (P, 2) float64 curves hold the list oracle's points bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(case=ced_cases())
+    @example(case=([2.0], [2.0]))
+    @example(case=([1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 2.0]))
+    @example(case=([0.5, 1.5], []))
+    def test_ced_curve(self, case):
+        errors, thresholds = case
+        curve = ced_curve(errors, thresholds)
+        assert curve.shape == (len(thresholds), 2) and curve.dtype == np.float64
+        assert curve_bits(curve.tolist()) == curve_bits(ced_curve_points(errors, thresholds))
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(case=visibility_cases())
+    @example(case=(np.array([0.3]), np.array([False])))
+    @example(case=(np.array([0.3]), np.array([True])))
+    @example(case=(np.full(6, 0.5), np.array([True, False] * 3)))
+    @example(case=(np.array([0.2, 0.9, 0.2]), np.ones(3, dtype=bool)))
+    def test_pr_curve(self, case):
+        conf, visible = case
+        _, ap, pr = visibility_scores(conf, conf >= 0.5, visible)
+        points = pr_curve_points(conf, visible)
+        assert pr.shape == (len(points), 2) and pr.dtype == np.float64
+        assert curve_bits(pr.tolist()) == curve_bits(points)
+        assert (ap is None) == visible.all()
+
+    def test_eval_report_at_preset(self):
+        errors, conf, flags, visible = _preset_report_inputs(decimals=3)
+        report = _eval_report(errors, conf, flags, visible)
+        scored = errors[visible.any(axis=1)]
+        ced = ced_curve_points(scored, np.linspace(0.0, float(scored.max()), 51))
+        pr = pr_curve_points(conf, visible)
+        assert len(pr) > 900  # ties merge the 24,000 landmarks into ~1,000 points
+        assert curve_bits(report.ced_curve.tolist()) == curve_bits(ced)
+        assert curve_bits(report.pr_curve.tolist()) == curve_bits(pr)
+        assert curve_lines(report.ced_curve) == curve_lines(ced)
+        assert curve_lines(report.pr_curve) == curve_lines(pr)
+
+
+def test_report_memory_at_preset():
+    """One report keeps its curves as arrays: about 0.4 MB at the preset,
+    where lists of (x, y) tuples kept about 2.7 MB."""
+    inputs = _preset_report_inputs()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = _eval_report(*inputs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1 << 20, kept
+    assert len(report.pr_curve) > 23000  # one point per distinct confidence
 
 
 class TestFoldAssignment:
@@ -226,6 +335,25 @@ class TestRunComparison:
             )
             assert 0.0 <= r.visibility_accuracy <= 1.0
             assert r.ced_curve[-1][1] == 1.0  # last threshold is the max error
+
+    def test_fold_count_at_most_sample_count(self):
+        ds, meta = generate(two_cluster_config(12, rng_seed=5))
+        yaw, cid = metadata_arrays(meta)
+        config = CompareConfig(
+            strategies=("fixed-frontal", "rec-forest"),
+            fold_count=12,
+            cluster_centers=(-40.0, 40.0),
+            rng_seed=1,
+            train=RecTrainConfig(tree_count=1, max_depth=2, min_samples_per_leaf=2),
+        )
+        reports = run_comparison(ds, yaw, cid, config)  # leave-one-out
+        included = int(ds.visible.any(axis=1).sum())
+        for r in reports.values():
+            assert r.per_sample_errors.shape == (included,)
+            assert np.isfinite(r.per_sample_errors).all()
+        for count in (13, 1000):
+            with pytest.raises(ValueError, match="fold_count must be at most"):
+                run_comparison(ds, yaw, cid, replace(config, fold_count=count))
 
     def test_deterministic_and_worker_invariant(self):
         ds, meta = generate(two_cluster_config(90, rng_seed=4))
@@ -463,8 +591,8 @@ class TestFormatting:
             mean_error=1.0,
             visibility_accuracy=1.0,
             visibility_ap=None,
-            ced_curve=[(0.0, 1.0)],
-            pr_curve=[],
+            ced_curve=np.array([[0.0, 1.0]]),
+            pr_curve=np.empty((0, 2)),
             per_sample_errors=np.array([1.0]),
         )
         text = format_comparison({"rec-forest": report}, fmt="table")
