@@ -17,7 +17,9 @@
 # under both selectors; eval of the same three in records (with --out) and
 # table formats; predict and eval (records) with the rec forest on the M=400
 # dataset file re-written in a layout `save_dataset` never writes (indented,
-# top-level keys reversed so the samples come before the header); compare
+# top-level keys reversed so the samples come before the header); predict
+# and eval (records) with the rec forest on the M=400 dataset file re-written
+# with `separators=(",", ":")`, one value a line and \r\n line breaks; compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
 # --workers 3, so every fold maps its draws onto dataset rows; compare with
@@ -66,6 +68,15 @@ json.dump(dict(reversed(doc.items())), open(sys.argv[2], "w"), indent=2)' \
         --out "$out/predict-rec-foreign.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data-foreign" \
         --format records --out "$out/eval-rec-foreign.json" > "$out/eval-rec-foreign.txt"
+    mkdir -p "$out/data-compact"
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+json.dump(doc, open(sys.argv[2], "w", newline="\r\n"), indent=1, separators=(",", ":"))' \
+        "$out/data/dataset.json" "$out/data-compact/dataset.json"
+    cli predict --forest "$out/rec-w1.json" --data "$out/data-compact" \
+        --out "$out/predict-rec-compact.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data-compact" \
+        --format records --out "$out/eval-rec-compact.json" > "$out/eval-rec-compact.txt"
     for sel in top-vote posterior-rating; do
         cli predict --forest "$out/class-w1.json" --data "$out/data" \
             --selector "$sel" --out "$out/predict-class-$sel.json" > /dev/null

@@ -20,6 +20,7 @@ import numpy as np
 
 from .classforest import derive_labels, train_class_forest
 from .data import (
+    _BLOCK,
     _atomic_write,
     _is_int,
     _is_list_of,
@@ -248,18 +249,55 @@ def _forest_outputs(forest, dataset, selector):
     return _predict_strategy(forest, strategy, dataset.responses, dataset.features)
 
 
+class _JsonFloat(float):
+    """A float that `%r` writes as `json.dumps` does, NaN and the
+    infinities included."""
+
+    def __repr__(self):
+        return json.dumps(float(self))
+
+
+def _write_predictions(path, landmarks, confidences, flags):
+    """Write the predictions file of `landmarks` (M, N, 2), `confidences`
+    (M, N) and `flags` (M, N) one block of `_BLOCK` samples at a time.
+
+    The text is that of `json.dumps(payload, indent=1) + "\\n"` for the
+    payload `{"formatVersion": 1, "sampleCount": M, "samples": [...]}`, one
+    `{"landmarks", "confidences", "flags"}` object per sample.  Each sample
+    fills one text template: floats with `%r`, the shortest repr that `json`
+    also writes, and flags as `true`/`false`."""
+    M, N = flags.shape
+
+    def lines(item):
+        return ",\n".join([item] * N)
+
+    template = ('  {\n   "landmarks": [\n%s\n   ],\n   "confidences": [\n%s\n   ],'
+                '\n   "flags": [\n%s\n   ]\n  }'
+                % (lines("    [\n     %r,\n     %r\n    ]"), lines("    %r"),
+                   lines("    %s")))
+
+    def chunks():
+        yield '{\n "formatVersion": 1,\n "sampleCount": %d,\n "samples": [' % M
+        for start in range(0, M, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            numbers = np.concatenate(
+                [landmarks[rows].reshape(-1, 2 * N), confidences[rows]], axis=1)
+            floats = numbers.tolist()
+            if not np.isfinite(numbers).all():
+                floats = [[_JsonFloat(v) for v in row] for row in floats]
+            words = np.where(flags[rows], "true", "false").tolist()
+            yield ",\n" if start else "\n"
+            yield ",\n".join([template % (*f, *w) for f, w in zip(floats, words)])
+        yield "\n ]\n}\n" if M else "]\n}\n"
+
+    _atomic_write(path, chunks())
+
+
 def cmd_predict(args):
     forest = load_forest(args.forest)
     dataset, _ = _load_data_dir(args.data)
     landmarks, confidences, flags = _forest_outputs(forest, dataset, args.selector)
-    samples = [
-        {"landmarks": lm, "confidences": conf, "flags": flg}
-        for lm, conf, flg in zip(
-            landmarks.tolist(), confidences.tolist(), flags.tolist()
-        )
-    ]
-    payload = {"formatVersion": 1, "sampleCount": dataset.sample_count, "samples": samples}
-    _atomic_write(args.out, [json.dumps(payload, indent=1) + "\n"])
+    _write_predictions(args.out, landmarks, confidences, flags)
     print("wrote %d predictions to %s" % (dataset.sample_count, args.out))
     return 0
 
@@ -280,9 +318,9 @@ def cmd_eval(args):
             "mean-error    %.4f\nvis-accuracy  %.4f\nvis-AP        %s\n"
             % (report.mean_error, report.visibility_accuracy, ap_text)
         )
-    sys.stdout.write(text)
     if args.out:
         _atomic_write(args.out, [text])
+    sys.stdout.write(text)
     return 0
 
 

@@ -20,6 +20,7 @@ across workers.
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -283,10 +284,107 @@ def _is_list_of(is_item, value):
     return isinstance(value, list) and all(is_item(v) for v in value)
 
 
+_CHUNK = 1 << 20  # characters per read in `_read_json`
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _TextCursor:
+    """A position in the text of a file object, read `_CHUNK` characters
+    at a time; each read drops the text before the position."""
+
+    def __init__(self, fh, scan_once):
+        self.fh, self.scan_once = fh, scan_once
+        self.buf, self.pos, self.eof = "", 0, False
+
+    def _read(self, size=0):
+        rest, self.buf = self.buf[self.pos:], ""  # free the read text first
+        text = self.fh.read(max(size, _CHUNK))
+        self.buf, self.pos, self.eof = rest + text, 0, not text
+
+    def peek(self):
+        """The next character that is not JSON whitespace ("" at the end)."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self._read()
+
+    def value(self):
+        """Parse the next JSON value.  A scan that fails, or that ends within
+        2 characters of the text read so far, may be cut short by the read (a
+        number in `1e-` or `-0`, a literal, a string): it is rescanned after
+        reading as much again as the value's text so far, so a value of many
+        chunks is rescanned a logarithmic number of times."""
+        self.peek()
+        while True:
+            try:
+                value, end = self.scan_once(self.buf, self.pos)
+            except (StopIteration, ValueError):
+                if self.eof:
+                    raise ValueError("no JSON value at %d" % self.pos) from None
+            else:
+                if end < len(self.buf) - 2 or self.eof:
+                    self.pos = end
+                    return value
+            self._read(len(self.buf) - self.pos)
+
+    def expect(self, char):
+        if self.peek() != char:
+            raise ValueError("expected %r at %d" % (char, self.pos))
+        self.pos += 1
+
+    def members(self, open_char, close_char):
+        """Read the brackets of an object or array, yielding once before
+        each member or element, which the caller then reads."""
+        self.expect(open_char)
+        if self.peek() != close_char:
+            while True:
+                yield
+                if self.peek() == close_char:
+                    break
+                self.expect(",")
+        self.expect(close_char)
+
+
+def _stream_json(fh, object_hook=None):
+    """The JSON object that makes up the whole text of `fh`, read
+    `_CHUNK` characters at a time.  It walks the top-level object key by key;
+    each element of a top-level array value is parsed on its own, and read
+    text is dropped as the walk goes on.  A repeated key keeps its first
+    position and takes its last value, as in `json`.  Anything else (a
+    top-level value that is not an object, a byte-order mark, malformed or
+    trailing text) raises."""
+    cursor = _TextCursor(fh, json.JSONDecoder(object_hook=object_hook).scan_once)
+    doc = {}
+    for _ in cursor.members("{", "}"):
+        if cursor.peek() != '"':
+            raise ValueError("expected a key at %d" % cursor.pos)
+        key = cursor.value()
+        cursor.expect(":")
+        if cursor.peek() == "[":
+            doc[key] = [cursor.value() for _ in cursor.members("[", "]")]
+        else:
+            doc[key] = cursor.value()
+    if cursor.peek():
+        raise ValueError("extra data at %d" % cursor.pos)
+    return doc if object_hook is None else object_hook(doc)
+
+
 def _read_json(path, what, object_hook=None):
-    """Parse a JSON file; text that is not JSON, not UTF-8 or nested too
-    deeply for the parser raises SchemaError naming `what`.  `object_hook`
-    gets each object as soon as it is parsed, and its result replaces it."""
+    """Parse a JSON file whose top-level value is an object, `_CHUNK`
+    characters at a time, through `_stream_json`, so the file's text is
+    never held whole.  `object_hook` gets each object as soon as it is
+    parsed, and its result replaces it.
+
+    On any failure or surprise the whole document is parsed once, with
+    `json.load`; that gives any other top-level value, and an error for text
+    that is not JSON, not UTF-8 or nested too deeply for the parser.  Those
+    errors raise SchemaError naming `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _stream_json(fh, object_hook)
+    except (ValueError, RecursionError):  # parse the whole document below
+        pass
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_hook=object_hook)

@@ -10,10 +10,10 @@ from recforest.data import (
     DATASET_FORMAT_VERSION,
     ModelProtocol,
     ResponseDataset,
+    SchemaError,
     _atomic_write,
     _float_array,
     _is_int,
-    _read_json,
     _read_protocol,
     _require,
     rating_vector,
@@ -244,9 +244,18 @@ def generate_per_sample(config: GenConfig):
 
 
 # ---------------------------------------------------------------------------
-# Dataset file, whole document at once: a reference for the block writer and
-# the per-sample packing reader of `recforest.data`
+# Dataset file, whole document at once: a reference for the block writer, the
+# chunked reader and the per-sample packing reader of `recforest.data`
 # ---------------------------------------------------------------------------
+
+def read_json_whole(path, what, object_hook=None):
+    """`data._read_json`, parsing the whole document in one `json.load`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_hook=object_hook)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
+
 
 def save_dataset_whole(dataset: ResponseDataset, path):
     """`data.save_dataset`, building the document as one JSON value."""
@@ -279,7 +288,7 @@ def assert_same_dataset(got, want):
 def load_dataset_whole(path) -> ResponseDataset:
     """`data.load_dataset`, converting the columns after the whole document
     is parsed."""
-    doc = _read_json(path, "dataset file")
+    doc = read_json_whole(path, "dataset file")
     _require(isinstance(doc, dict), "dataset document must be an object")
     _require(_is_int(doc.get("formatVersion"))
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
@@ -324,6 +333,18 @@ def load_dataset_whole(path) -> ResponseDataset:
         features=column("features", (F,)),
         normalizer=column("normalizer", ()),
     )
+
+
+def predictions_text_whole(landmarks, confidences, flags):
+    """The text of `cli._write_predictions`: one `json.dumps(indent=1)` of
+    the whole payload."""
+    samples = [
+        {"landmarks": lm, "confidences": conf, "flags": flg}
+        for lm, conf, flg in zip(landmarks.tolist(), confidences.tolist(),
+                                 flags.tolist())
+    ]
+    payload = {"formatVersion": 1, "sampleCount": len(samples), "samples": samples}
+    return json.dumps(payload, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from recforest.cli import main
-from recforest.data import load_dataset
+from recforest.cli import _write_predictions, main
+from recforest.data import _BLOCK, load_dataset
 from recforest.forest import predict_many
 from recforest.serialize import load_forest
+
+from helpers import predictions_text_whole
 
 
 def _gen(tmp_path, name="data", extra=()):
@@ -233,6 +236,71 @@ class TestPredict:
         assert "protocol" in capsys.readouterr().err
 
 
+def _predictions(rng, M, N):
+    """Random prediction arrays with the values whose text is easiest to
+    get wrong: -0.0, a subnormal-scale 1e-300, 1e16 (written `1e+16`), and
+    confidences of exactly 0.0 and 1.0."""
+    landmarks = rng.normal(size=(M, N, 2))
+    confidences = rng.random((M, N))
+    special = [-0.0, 1e-300, 1e16, -1e16, 0.5]
+    landmarks.reshape(-1)[:len(special)] = special[:landmarks.size]
+    confidences.reshape(-1)[:2] = [0.0, 1.0][:confidences.size]
+    return landmarks, confidences, confidences >= 0.5
+
+
+class TestPredictionsWriter:
+    """`cli._write_predictions` against one `json.dumps(indent=1)` of the
+    whole payload (`tests/helpers.py`)."""
+
+    @pytest.mark.parametrize("M, N", [(0, 5), (1, 5), (_BLOCK - 1, 5), (_BLOCK, 3),
+                                      (_BLOCK + 1, 5), (2 * _BLOCK + 1, 4), (40, 1),
+                                      (1, 1), (0, 1)])
+    def test_bytes_equal_whole_document(self, tmp_path, M, N):
+        arrays = _predictions(np.random.default_rng(M + N), M, N)
+        _write_predictions(tmp_path / "p.json", *arrays)
+        assert (tmp_path / "p.json").read_text() == predictions_text_whole(*arrays)
+
+    def test_empty_sample_list(self, tmp_path):
+        arrays = _predictions(np.random.default_rng(0), 0, 4)
+        _write_predictions(tmp_path / "p.json", *arrays)
+        assert '"samples": []' in (tmp_path / "p.json").read_text()
+
+    def test_non_finite_values_written_as_json_does(self, tmp_path):
+        landmarks, confidences, flags = _predictions(np.random.default_rng(1),
+                                                     _BLOCK + 2, 3)
+        landmarks[0, 0, 0], landmarks[_BLOCK + 1, 2, 1] = np.nan, -np.inf
+        confidences[5, 1] = np.inf
+        _write_predictions(tmp_path / "p.json", landmarks, confidences, flags)
+        text = (tmp_path / "p.json").read_text()
+        assert text == predictions_text_whole(landmarks, confidences, flags)
+        assert "NaN" in text and "-Infinity" in text
+
+    def test_preset_bytes_and_peak_memory(self, tmp_path):
+        """At the preset's size (M=2000, N=12) the writer holds one block of
+        text: the whole-payload `json.dumps` peaks near 17.5 MB."""
+        arrays = _predictions(np.random.default_rng(2), 2000, 12)
+        path = tmp_path / "p.json"
+        tracemalloc.start()
+        try:
+            _write_predictions(path, *arrays)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == predictions_text_whole(*arrays)
+        assert peak <= 2.0, "predictions writer peak %.1f MB" % peak
+
+    def test_command_writes_the_whole_document_text(self, tmp_path):
+        data = _gen(tmp_path)
+        forest_path = _train(tmp_path, data)
+        out = tmp_path / "pred.json"
+        assert main(["predict", "--forest", forest_path, "--data", data,
+                     "--out", str(out)]) == 0
+        dataset = load_dataset(os.path.join(data, "dataset.json"))
+        arrays = predict_many(load_forest(forest_path), dataset.responses,
+                              dataset.features)
+        assert out.read_text() == predictions_text_whole(*arrays)
+
+
 class TestEval:
     def test_table_output(self, tmp_path, capsys):
         data = _gen(tmp_path)
@@ -277,6 +345,20 @@ class TestEval:
         assert doc["visibilityAccuracy"] == pytest.approx(
             np.mean(flags == ds.visible), rel=1e-12
         )
+
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    def test_out_in_missing_directory_prints_nothing(self, tmp_path, capsys, fmt):
+        """A report that cannot be written is a failed run: one `error:`
+        line and no report on stdout."""
+        data = _gen(tmp_path)
+        forest_path = _train(tmp_path, data)
+        capsys.readouterr()
+        rc = main(["eval", "--forest", forest_path, "--data", data, "--format", fmt,
+                   "--out", str(tmp_path / "missing" / "r.txt")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_class_forest_selectors(self, tmp_path, capsys):
         data = _gen(tmp_path)

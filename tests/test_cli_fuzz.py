@@ -1,6 +1,6 @@
 """Command line fuzzing: `gen --config` with every generator field drawn,
-`compare --config` with every comparison and training field drawn, and the
-`predict` and `eval` arguments.
+`compare --config` with every comparison and training field drawn, the
+`predict` and `eval` arguments, and `train` flags and `--config` fields.
 
 Each field of the config document gets a valid value, or, for a drawn set
 of at most two fields, a wrong JSON type, a non-finite number or an
@@ -309,6 +309,8 @@ def test_predict_and_eval_exit_cleanly(predict_files, case):
     elif broken or case["forest"] == "foreign" or case["out"] == "missing":
         assert rc == 1
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        if case["out"] == "missing":
+            assert stdout == ""
     else:
         assert rc == 0 and stderr == ""
         if case["command"] == "predict":
@@ -317,3 +319,111 @@ def test_predict_and_eval_exit_cleanly(predict_files, case):
             assert json.loads(stdout)["formatVersion"] == 1
         else:
             assert stdout.startswith("mean-error ")
+
+
+# ---------------------------------------------------------------------------
+# train
+# ---------------------------------------------------------------------------
+
+NOT_INT = ["1.5", "x", "nan", ""]
+NOT_FLOAT = ["x", "1,5", ""]
+NON_FINITE_TEXT = ["nan", "inf", "-inf", "1e400"]
+
+# config field: (flag, valid values, invalid values, texts argparse rejects).
+# Tree and candidate counts stay small when valid; a worker count is 1 or 2
+# when valid, and never large.
+TRAIN_FLAGS = {
+    "tree_count": ("--trees", st.integers(1, 2), ["0", "-1"], NOT_INT),
+    "max_depth": ("--max-depth", st.integers(0, 4) | st.just(10 ** 9), ["-1"], NOT_INT),
+    "min_samples_per_leaf": ("--min-samples-leaf", st.integers(1, 8) | st.just(10 ** 9),
+                             ["0", "-3"], NOT_INT),
+    "candidate_feature_count": ("--candidate-features",
+                                st.integers(1, 6) | st.just(1000), ["0", "-1"], NOT_INT),
+    "candidate_threshold_count": ("--candidate-thresholds", st.integers(1, 6),
+                                  ["0", "-1"], NOT_INT),
+    "min_gain": ("--min-gain", st.floats(0.0, 0.1), ["-1e-3", "nan", "-inf"], NOT_FLOAT),
+    "bootstrap_fraction": ("--bootstrap", st.floats(0.3, 1.0),
+                           ["0", "1.5", "-0.2"] + NON_FINITE_TEXT, NOT_FLOAT),
+    "val": ("--val", st.floats(0.1, 0.5), ["0", "1", "-0.5"] + NON_FINITE_TEXT, NOT_FLOAT),
+    "rng_seed": ("--seed", st.integers(-(2 ** 70), 2 ** 70), [], NOT_INT),
+    "method": ("--method", st.sampled_from(["rec", "class"]), [], ["oracle", "Rec"]),
+    "workers": ("--workers", st.sampled_from([1, 2]), ["0", "-1"], NOT_INT),
+}
+
+TRAIN_CONFIG_FIELDS = dict(
+    TRAIN_FIELDS,
+    tree_count=_field(st.integers(1, 2), [0, -1, 1.0, math.nan, math.inf]),
+    val=_field(st.floats(0.1, 0.5), [0.0, 1.0, -0.5] + NON_FINITE + TOO_LARGE),
+)
+
+
+@st.composite
+def train_cases(draw):
+    """(flags after `train --data --out`, config document or None, and the
+    outcome: "ok" for valid values only, "error" when a value is invalid,
+    "usage" when argparse must reject a flag's text).  Each flag and config
+    field is present or absent; at most two of them are invalid.  A flag
+    overrides its config field, so an invalid field's flag is left out."""
+    bad = draw(st.sets(st.sampled_from(
+        ["flag." + k for k in sorted(TRAIN_FLAGS)]
+        + ["config." + k for k in sorted(TRAIN_CONFIG_FIELDS)]), max_size=2))
+    doc, outcomes = {}, set()
+    for name, (valid, invalid) in TRAIN_CONFIG_FIELDS.items():
+        if "config." + name in bad:
+            doc[name] = draw(invalid)
+            outcomes.add("error")
+        elif draw(st.booleans()):
+            doc[name] = draw(valid)
+    argv = []
+    for name, (flag, valid, invalid, rejected) in TRAIN_FLAGS.items():
+        if "config." + name in bad:
+            continue
+        if "flag." + name in bad:
+            outcome = draw(st.sampled_from(["error"] * bool(invalid) + ["usage"]))
+            outcomes.add(outcome)
+            value = draw(st.sampled_from(invalid if outcome == "error" else rejected))
+        elif draw(st.booleans()):
+            value = draw(valid)
+        else:
+            continue
+        argv.append("%s=%s" % (flag, value))
+    if "tree_count" not in doc and not any(a.startswith("--trees=") for a in argv):
+        argv.append("--trees=1")
+    outcome = "usage" if "usage" in outcomes else "error" if outcomes else "ok"
+    return argv, doc or None, outcome
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(case=train_cases())
+@example(case=(["--trees=2", "--workers=2", "--bootstrap=0.5"], None, "ok"))
+@example(case=(["--trees=1", "--val=nan"], None, "error"))
+@example(case=(["--trees=1", "--min-gain=nan"], None, "error"))
+@example(case=(["--bootstrap=inf"], {"tree_count": 1}, "error"))
+@example(case=(["--trees=1"], {"val": math.inf}, "error"))
+@example(case=(["--trees=1", "--method=class"], {"min_gain": math.nan}, "error"))
+@example(case=(["--trees=nan"], None, "usage"))
+@example(case=(["--trees=1", "--method=oracle"], None, "usage"))
+def test_train_exits_cleanly(compare_data, tmp_path_factory, case):
+    """Exit 0 for valid values; exit 1 with one `error:` line when a value
+    is invalid; argparse's usage error (exit 2) for a flag whose text is
+    not of its type or not a valid choice.  Never a traceback."""
+    argv, doc, expect = case
+    root = tmp_path_factory.getbasetemp()
+    forest = root / "train-fuzz.json"
+    forest.unlink(missing_ok=True)
+    if doc is not None:
+        (root / "train.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(root / "train.json")]
+    rc, stdout, stderr = _run_main(["train", "--data", compare_data,
+                                    "--out", str(forest)] + argv)
+    assert "Traceback" not in stderr
+    if expect == "usage":
+        assert rc == 2
+        assert stderr.splitlines()[-1].startswith("recforest train: error: ")
+    elif expect == "error":
+        assert rc == 1, stdout
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    else:
+        assert rc == 0 and stderr == "", stderr
+        assert stdout.startswith("method=")
+        assert json.loads(forest.read_text())["formatVersion"] == 1

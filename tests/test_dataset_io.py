@@ -230,6 +230,20 @@ class TestBlockWriterAndPackingReader:
         assert peaks[0] <= 12.0, "save_dataset peak %.1f MB" % peaks[0]
         assert peaks[1] <= 22.0, "load_dataset peak %.1f MB" % peaks[1]
 
+    def test_load_never_holds_the_file_text(self, tmp_path, preset_dataset):
+        """The 7.9 MB file is read `_CHUNK` characters at a time: a reader
+        that also holds the whole text, as one `json.load` does, peaks near
+        15 MB here."""
+        path = tmp_path / "d.json"
+        save_dataset(preset_dataset, path)
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.0, "load_dataset peak %.1f MB" % peak
+
 
 class TestDatasetLoadRejections:
     def make_doc(self, tmp_path):
