@@ -7,7 +7,6 @@ that rating into landmark and visibility predictions.
 """
 
 from .classforest import (
-    ClassForest,
     derive_labels,
     entropy,
     predict_posterior_rating,
@@ -71,7 +70,6 @@ from .synth import (
 )
 
 __all__ = [
-    "ClassForest",
     "CompareConfig",
     "EvalReport",
     "GenConfig",

@@ -1,19 +1,19 @@
 """Classification-forest baseline: entropy-gain trees over the same features.
 
-The baseline predicts which pool model a sample belongs to.  Its trees hold
-the same `Split` and `Leaf` nodes as a recommendation forest; a leaf's
-`rating` is its class posterior.  Two inference modes consume the trained
-forest: hard majority vote across trees (the selected model's response is
-returned verbatim) and posterior-as-rating, which blends count-weighted
-leaf posteriors exactly like a recommendation forest's ratings.
+The baseline predicts which pool model a sample belongs to.  It trains a
+`RecForest` of `kind="classification"`: the same `Split` and `Leaf` trees,
+grown by the same trainer, where a leaf's `rating` is its class posterior.
+Two inference modes consume the trained forest: hard majority vote across
+trees (the selected model's response is returned verbatim) and
+posterior-as-rating, which blends count-weighted leaf posteriors exactly
+like a recommendation forest's ratings.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelProtocol, Prediction, ResponseDataset
+from .data import Prediction, ResponseDataset
 from .forest import (
+    RecForest,
     RecTrainConfig,
     _SampleSums,
     _check_inputs,
@@ -24,17 +24,14 @@ from .forest import (
 )
 
 
-@dataclass
-class ClassForest:
-    trees: list
-    protocol: ModelProtocol
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if len(self.trees) < 1:
-            raise ValueError("forest needs at least one tree")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+def _check_labels(labels, dataset, noun):
+    """`labels` as an int64 array of one pool model index per sample."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (dataset.sample_count,):
+        raise ValueError("%s length does not match the dataset" % noun)
+    if labels.size and (labels.min() < 0 or labels.max() >= dataset.model_count):
+        raise ValueError("%s out of range for the model pool" % noun)
+    return labels
 
 
 def derive_labels(dataset: ResponseDataset, cluster_id=None) -> np.ndarray:
@@ -44,14 +41,8 @@ def derive_labels(dataset: ResponseDataset, cluster_id=None) -> np.ndarray:
     to the model with the smallest total squared response error over the
     sample's visible landmarks, ties to the smallest index.
     """
-    C = dataset.model_count
     if cluster_id is not None:
-        labels = np.asarray(cluster_id, dtype=np.int64)
-        if labels.shape != (dataset.sample_count,):
-            raise ValueError("cluster_id length does not match the dataset")
-        if labels.size and (labels.min() < 0 or labels.max() >= C):
-            raise ValueError("cluster_id out of range for the model pool")
-        return labels.copy()
+        return _check_labels(cluster_id, dataset, "cluster_id").copy()
     gt0 = np.where(dataset.visible[:, :, None], dataset.ground_truth, 0.0)
     diff = dataset.responses - gt0[:, None, :, :]
     sq = np.einsum("mcnd,mcnd->mcn", diff, diff)
@@ -107,28 +98,25 @@ class _ClassCriterion(_SampleSums):
 
 
 def train_class_forest(dataset: ResponseDataset, labels,
-                       config: RecTrainConfig, workers: int = 1) -> ClassForest:
+                       config: RecTrainConfig, workers: int = 1) -> RecForest:
     """Train the baseline forest on model labels with entropy gain.
 
     Same tree/bootstrap/candidate RNG discipline as the recommendation
     forest, so comparisons share every hyperparameter.
     """
     config.validate()
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (dataset.sample_count,):
-        raise ValueError("labels length does not match the dataset")
-    if labels.size and (labels.min() < 0 or labels.max() >= dataset.model_count):
-        raise ValueError("labels out of range for the model pool")
+    labels = _check_labels(labels, dataset, "labels")
     criterion = _ClassCriterion(labels, dataset.model_count)
     trees = _run_tree_tasks(criterion, dataset.features, config, workers)
-    return ClassForest(trees=trees, protocol=dataset.protocol, gamma=0.5)
+    return RecForest(trees=trees, protocol=dataset.protocol, gamma=0.5,
+                     kind="classification")
 
 
 # ---------------------------------------------------------------------------
 # Inference modes
 # ---------------------------------------------------------------------------
 
-def predict_top_vote_many(forest: ClassForest, responses, features):
+def predict_top_vote_many(forest: RecForest, responses, features):
     """Majority vote over trees; the winning model answers alone.
 
     Each tree votes the argmax of its leaf posterior (ties to the smallest
@@ -153,14 +141,14 @@ def predict_top_vote_many(forest: ClassForest, responses, features):
     return landmarks, confidence, confidence >= forest.gamma
 
 
-def predict_top_vote(forest: ClassForest, responses, features) -> Prediction:
+def predict_top_vote(forest: RecForest, responses, features) -> Prediction:
     return _predict_one(predict_top_vote_many, forest, responses, features)
 
 
-def predict_posterior_rating_many(forest: ClassForest, responses, features):
+def predict_posterior_rating_many(forest: RecForest, responses, features):
     """Blend with the count-weighted average posterior as the rating."""
     return predict_many(forest, responses, features)
 
 
-def predict_posterior_rating(forest: ClassForest, responses, features) -> Prediction:
+def predict_posterior_rating(forest: RecForest, responses, features) -> Prediction:
     return _predict_one(predict_posterior_rating_many, forest, responses, features)

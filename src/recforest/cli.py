@@ -32,7 +32,6 @@ from .data import (
     save_metadata,
 )
 from .forest import (
-    RecForest,
     RecTrainConfig,
     accuracy_maximizing_threshold,
     predict_many,
@@ -151,15 +150,6 @@ def cmd_gen(args):
     if args.yaw_range is not None:
         args.yaw_range = _parse_floats(args.yaw_range, "--yaw-range")
     config = _merge_dataclass(GenConfig, "gen", base, doc, args)
-    config = GenConfig(
-        **{
-            **asdict(config),
-            "cluster_centers": tuple(float(c) for c in config.cluster_centers),
-            "yaw_range": tuple(float(v) for v in config.yaw_range),
-        }
-    )
-    if len(config.yaw_range) != 2:
-        raise ValueError("yaw_range must be two numbers: lo,hi")
     dataset, metadata = generate(config)
     yaw, cluster_id = metadata_arrays(metadata)
     os.makedirs(args.out, exist_ok=True)
@@ -245,7 +235,7 @@ def cmd_train(args):
 def _forest_outputs(forest, dataset, selector):
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
-    strategy = "rec-forest" if isinstance(forest, RecForest) else selector
+    strategy = "rec-forest" if forest.kind == "recommendation" else selector
     return _predict_strategy(forest, strategy, dataset.responses, dataset.features)
 
 
@@ -364,8 +354,16 @@ def cmd_compare(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `ValueError`, so `main` prints one
+    `error:` line and exits 1 as for any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recforest",
         description="Model recommendation forests over synthetic multi-view "
         "landmark pools.",
@@ -445,10 +443,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "verbose", False):
-        logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "verbose", False):
+            logging.basicConfig(level=logging.INFO, format="%(message)s")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

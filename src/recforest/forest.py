@@ -72,15 +72,22 @@ class Leaf:
 
 @dataclass
 class RecForest:
+    """`Split`/`Leaf` trees over the pool `protocol`.  `kind` names what a
+    leaf's `rating` holds: "recommendation" ratings or the "classification"
+    baseline's class posterior.  Both kinds blend through `predict_many`."""
+
     trees: list
     protocol: ModelProtocol
     gamma: float = 0.5
+    kind: str = "recommendation"
 
     def __post_init__(self):
         if len(self.trees) < 1:
             raise ValueError("forest needs at least one tree")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if self.kind not in ("recommendation", "classification"):
+            raise ValueError("kind must be 'recommendation' or 'classification'")
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,7 @@ class _RecCriterion(_SampleSums):
     children cost one matrix product instead of a re-stacking of rows.
     """
 
-    def __init__(self, dataset: ResponseDataset, tolerance=1e-8,
-                 max_iterations=1000):
+    def __init__(self, dataset: ResponseDataset):
         resp = dataset.responses
         vis = dataset.visible
         gt0 = np.where(vis[:, :, None], dataset.ground_truth, 0.0)
@@ -174,8 +180,6 @@ class _RecCriterion(_SampleSums):
         np.einsum("mcnd,mnd->mc", resp, gt0, out=self.lin)
         np.einsum("mnd,mnd->m", gt0, gt0, out=self.sq)
         vis.sum(axis=1, out=self.inst)
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
 
     def _stats(self, sums, n):
         """(G, h, sq, inst, n): views of the P, lin, sq and inst columns."""
@@ -188,9 +192,7 @@ class _RecCriterion(_SampleSums):
 
     def _solve(self, G, h):
         """Ratings for a Gram batch; an unconverged row keeps its best iterate."""
-        W, _, converged = solve_gram_batch(
-            G, h, tolerance=self.tolerance, max_iterations=self.max_iterations,
-        )
+        W, _, converged = solve_gram_batch(G, h)
         if not converged.all():
             logger.warning(
                 "simplex solver did not converge on %d of %d rows; "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classforest import ClassForest, _ClassCriterion, derive_labels, \
+from .classforest import _ClassCriterion, derive_labels, \
     predict_posterior_rating_many, predict_top_vote_many
 from .data import ResponseDataset
 from .forest import RecForest, RecTrainConfig, _grow_forests, _RecCriterion, \
@@ -247,9 +247,10 @@ def _train_folds(dataset, labels, config, workers):
         folds.append((np.nonzero(fold == f)[0], fit_idx, val_idx, fold_train))
         jobs += [(key, fold_train, fit_idx) for key in criteria]
     trees = iter(_grow_forests(criteria, dataset.features, jobs, workers))
-    kinds = {"rec-forest": RecForest, "class": ClassForest}
+    kinds = {"rec-forest": "recommendation", "class": "classification"}
     return [
-        split + ({key: kinds[key](next(trees), dataset.protocol) for key in criteria},)
+        split + ({key: RecForest(next(trees), dataset.protocol, kind=kinds[key])
+                  for key in criteria},)
         for split in folds
     ]
 

@@ -1,10 +1,10 @@
 """Forest persistence.
 
-One JSON document per forest: format version, forest kind, gamma, the pool
-protocol masks, and the trees as nested split/leaf nodes.  Both forest
-kinds hold `Leaf` nodes; the kind only names the leaf vector's JSON key,
-"rating" for a recommendation forest and "posterior" for a classification
-forest, whose leaf `rating` is its class posterior.  Floats are
+One JSON document per `RecForest`: format version, the forest's `kind`,
+gamma, the pool protocol masks, and the trees as nested split/leaf nodes.
+The kind only names the leaf vector's JSON key, "rating" for a
+recommendation forest and "posterior" for a classification forest, whose
+leaf `rating` is its class posterior.  Floats are
 written with repr (shortest round-trip), so save -> load -> predict is
 bit-identical to the in-memory forest.  Writes are atomic: the file appears
 complete or not at all.
@@ -13,7 +13,6 @@ complete or not at all.
 import json
 import sys
 
-from .classforest import ClassForest
 from .data import (
     SchemaError,
     _atomic_write,
@@ -49,17 +48,13 @@ def _node_to_obj(node, rating_key):
 
 
 def save_forest(forest, path) -> None:
-    """Write a recommendation or classification forest to a JSON file."""
-    if isinstance(forest, RecForest):
-        kind = "recommendation"
-    elif isinstance(forest, ClassForest):
-        kind = "classification"
-    else:
-        raise TypeError("expected RecForest or ClassForest, got %r" % type(forest))
-    key = _KIND_TO_KEY[kind]
+    """Write a forest of either kind to a JSON file."""
+    if not isinstance(forest, RecForest):
+        raise TypeError("expected RecForest, got %r" % type(forest))
+    key = _KIND_TO_KEY[forest.kind]
     payload = {
         "formatVersion": FOREST_FORMAT_VERSION,
-        "kind": kind,
+        "kind": forest.kind,
         "gamma": float(forest.gamma),
         "masks": forest.protocol.masks.astype(int).tolist(),
         "trees": [_node_to_obj(t, key) for t in forest.trees],
@@ -103,7 +98,7 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
 
 
 def load_forest(path):
-    """Read a forest file back; returns RecForest or ClassForest by kind."""
+    """Read a forest file back as a `RecForest` of the file's kind."""
     payload = _read_json(path, "forest file")
     _require(isinstance(payload, dict), "forest file must hold an object")
     _require(
@@ -128,8 +123,6 @@ def load_forest(path):
         for t in trees_obj
     ]
     try:
-        if kind == "recommendation":
-            return RecForest(trees=trees, protocol=protocol, gamma=float(gamma))
-        return ClassForest(trees=trees, protocol=protocol, gamma=float(gamma))
+        return RecForest(trees=trees, protocol=protocol, gamma=float(gamma), kind=kind)
     except ValueError as exc:
         raise SchemaError(str(exc))

@@ -60,7 +60,9 @@ class GenConfig:
             raise ValueError("M must be ≥ 1")
         if self.landmark_count < 4:
             raise ValueError("landmark_count must be >= 4")
-        lo, hi = self.yaw_range
+        if len(self.yaw_range) != 2:
+            raise ValueError("yaw_range must be two numbers: lo,hi")
+        lo, hi = (float(v) for v in self.yaw_range)
         if not lo < hi:
             raise ValueError("yaw_range must be a nonempty interval")
         if not math.isfinite(hi - lo):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from recforest.classforest import (
-    ClassForest,
     _ClassCriterion,
     derive_labels,
     entropy,
@@ -203,10 +202,11 @@ class TestTraining:
 
 
 def _leaf_forest(proto, posterior, gamma=0.5):
-    return ClassForest(
+    return RecForest(
         trees=[Leaf(rating=posterior, sample_count=4)],
         protocol=proto,
         gamma=gamma,
+        kind="classification",
     )
 
 
@@ -299,10 +299,11 @@ class TestTopVote:
         leaf1 = Leaf(rating=[0.1, 0.9], sample_count=1)
         responses = np.array([[[[1.0, 1.0]], [[5.0, 5.0]]]])
         features = np.array([[0.6, 0.6]])
-        majority = ClassForest(trees=[leaf0, leaf0, leaf1], protocol=proto)
+        majority = RecForest(trees=[leaf0, leaf0, leaf1], protocol=proto,
+                             kind="classification")
         landmarks, _, _ = predict_top_vote_many(majority, responses, features)
         assert np.array_equal(landmarks[0], [[1.0, 1.0]])
-        tied = ClassForest(trees=[leaf1, leaf0], protocol=proto)
+        tied = RecForest(trees=[leaf1, leaf0], protocol=proto, kind="classification")
         landmarks, _, _ = predict_top_vote_many(tied, responses, features)
         assert np.array_equal(landmarks[0], [[1.0, 1.0]])
 
@@ -428,9 +429,17 @@ class TestForestValidation:
         proto = ModelProtocol(masks)
         leaf = Leaf(rating=[1.0, 0.0], sample_count=1)
         with pytest.raises(ValueError):
-            ClassForest(trees=[], protocol=proto)
+            RecForest(trees=[], protocol=proto, kind="classification")
         with pytest.raises(ValueError):
-            ClassForest(trees=[leaf], protocol=proto, gamma=1.5)
+            RecForest(trees=[leaf], protocol=proto, gamma=1.5, kind="classification")
+
+    def test_kind(self):
+        proto = ModelProtocol(np.ones((2, 1), dtype=bool))
+        trees = [Leaf(rating=[1.0, 0.0], sample_count=1)]
+        assert RecForest(trees, proto).kind == "recommendation"
+        assert RecForest(trees, proto, kind="classification").kind == "classification"
+        with pytest.raises(ValueError, match="kind"):
+            RecForest(trees, proto, kind="other")
 
     def test_leaf_validation(self):
         with pytest.raises(ValueError):

@@ -142,7 +142,7 @@ class TestTrain:
         forest_path = _train(tmp_path, data, "cls.json", extra=("--method", "class"))
         assert "method=class" in capsys.readouterr().out
         forest = load_forest(forest_path)
-        assert type(forest).__name__ == "ClassForest"
+        assert forest.kind == "classification"
 
     def test_same_seed_same_file(self, tmp_path):
         data = _gen(tmp_path)
@@ -557,3 +557,28 @@ class TestWorkersEnv:
                    "--trees", "1"])
         assert rc == 1
         assert "RECFOREST_WORKERS" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Flag texts of the wrong type or outside `choices` are in the fuzz
+    tests; these are the usage errors without a flag value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--forest", "f.json"],
+            ["gen", "--m", "4", "--out", "x", "--no-such-flag"],
+            [],
+        ],
+    )
+    def test_one_error_line_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--method" in capsys.readouterr().out

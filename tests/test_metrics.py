@@ -11,7 +11,7 @@ from helpers import ced_curve_points, curve_bits, pr_curve_points
 from hypothesis import example, given, settings, strategies as st
 
 from recforest import classforest, forest
-from recforest.classforest import ClassForest, derive_labels, train_class_forest
+from recforest.classforest import derive_labels, train_class_forest
 from recforest.data import ResponseDataset
 from recforest.forest import RecForest, RecTrainConfig, train_forest
 from recforest.metrics import (
@@ -501,7 +501,9 @@ class TestFoldForests:
             rec = train_forest(fit_ds, fold_train)
             cls = train_class_forest(fit_ds, labels[fit_idx], fold_train)
             assert isinstance(forests["rec-forest"], RecForest)
-            assert isinstance(forests["class"], ClassForest)
+            assert forests["rec-forest"].kind == "recommendation"
+            assert isinstance(forests["class"], RecForest)
+            assert forests["class"].kind == "classification"
             assert forests["rec-forest"].trees == rec.trees
             assert forests["class"].trees == cls.trees
 

@@ -37,6 +37,7 @@ class TestRoundTrip:
         save_forest(rec, path)
         loaded = load_forest(path)
         assert type(loaded) is type(rec)
+        assert loaded.kind == rec.kind == "recommendation"
         assert loaded.gamma == rec.gamma
         assert np.array_equal(loaded.protocol.masks, rec.protocol.masks)
         assert loaded.trees == rec.trees
@@ -51,6 +52,8 @@ class TestRoundTrip:
         save_forest(cls, path)
         loaded = load_forest(path)
         assert type(loaded) is type(cls)
+        assert loaded.kind == cls.kind == "classification"
+        assert json.loads(path.read_text())["kind"] == "classification"
         assert loaded.gamma == cls.gamma
         assert loaded.trees == cls.trees
         before = predict_posterior_rating_many(cls, ds.responses, ds.features)

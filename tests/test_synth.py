@@ -265,6 +265,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("yaw_range", [(-90.0, 0.0, 90.0), (0.0,)])
+    def test_yaw_range_needs_two_entries(self, yaw_range):
+        with pytest.raises(ValueError, match="^yaw_range must be two numbers: lo,hi$"):
+            generate(GenConfig(yaw_range=yaw_range))
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_config("no-such-preset")
