@@ -19,7 +19,9 @@
 # dataset file re-written in a layout `save_dataset` never writes (indented,
 # top-level keys reversed so the samples come before the header); predict
 # and eval (records) with the rec forest on the M=400 dataset file re-written
-# with `separators=(",", ":")`, one value a line and \r\n line breaks; compare
+# with `separators=(",", ":")`, one value a line and \r\n line breaks; predict
+# and eval (records) with the rec forest under --selector posterior-rating,
+# which a recommendation forest ignores; compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
 # --workers 3, so every fold maps its draws onto dataset rows; compare with
@@ -77,6 +79,11 @@ json.dump(doc, open(sys.argv[2], "w", newline="\r\n"), indent=1, separators=(","
         --out "$out/predict-rec-compact.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data-compact" \
         --format records --out "$out/eval-rec-compact.json" > "$out/eval-rec-compact.txt"
+    cli predict --forest "$out/rec-w1.json" --data "$out/data" \
+        --selector posterior-rating --out "$out/predict-rec-selector.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data" \
+        --selector posterior-rating --format records \
+        --out "$out/eval-rec-selector.json" > "$out/eval-rec-selector.txt"
     for sel in top-vote posterior-rating; do
         cli predict --forest "$out/class-w1.json" --data "$out/data" \
             --selector "$sel" --out "$out/predict-class-$sel.json" > /dev/null

@@ -3,10 +3,10 @@
 The baseline predicts which pool model a sample belongs to.  It trains a
 `RecForest` of `kind="classification"`: the same `Split` and `Leaf` trees,
 grown by the same trainer, where a leaf's `rating` is its class posterior.
-Two inference modes consume the trained forest: hard majority vote across
-trees (the selected model's response is returned verbatim) and
-posterior-as-rating, which blends count-weighted leaf posteriors exactly
-like a recommendation forest's ratings.
+Two inference modes blend a rating exactly like a recommendation forest:
+top-vote's rating is one-hot on the model most trees vote for (its
+responses come back verbatim), posterior-rating's the count-weighted
+average leaf posterior.
 """
 
 import numpy as np
@@ -20,13 +20,17 @@ from .forest import (
     _predict_one,
     _route_payloads,
     _run_tree_tasks,
+    blend_prediction,
     predict_many,
 )
 
 
 def _check_labels(labels, dataset, noun):
     """`labels` as an int64 array of one pool model index per sample."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError("%s must be integer model indices, not %s" % (noun, labels.dtype))
+    labels = labels.astype(np.int64, copy=False)
     if labels.shape != (dataset.sample_count,):
         raise ValueError("%s length does not match the dataset" % noun)
     if labels.size and (labels.min() < 0 or labels.max() >= dataset.model_count):
@@ -120,25 +124,19 @@ def predict_top_vote_many(forest: RecForest, responses, features):
     """Majority vote over trees; the winning model answers alone.
 
     Each tree votes the argmax of its leaf posterior (ties to the smallest
-    model index); the most-voted model c* supplies its responses verbatim,
-    with confidence equal to its own detection scores on its protocol's
-    visible landmarks and 0 elsewhere.
+    model index).  The rating is one-hot on the most-voted model c*, blended
+    like every other rating: c*'s responses, with confidence equal to its own
+    detection scores on its protocol's visible landmarks and 0 elsewhere.
     """
     responses, features = _check_inputs(forest, responses, features)
-    proto = forest.protocol
     M = features.shape[0]
-    C = proto.model_count
+    C = forest.protocol.model_count
     votes = np.zeros((M, C), dtype=np.int64)
     for root in forest.trees:
         payloads, _ = _route_payloads(root, features, C)
-        tree_vote = np.argmax(payloads, axis=1)
-        votes[np.arange(M), tree_vote] += 1
-    winner = np.argmax(votes, axis=1)  # ties to the smallest index
-    landmarks = responses[np.arange(M), winner]
-    slots = np.where(proto.masks, proto.slot_grid, 0)
-    scores = features[:, slots] * proto.masks[None, :, :]
-    confidence = np.clip(scores[np.arange(M), winner], 0.0, 1.0)
-    return landmarks, confidence, confidence >= forest.gamma
+        votes[np.arange(M), np.argmax(payloads, axis=1)] += 1
+    W = np.eye(C)[np.argmax(votes, axis=1)]  # ties to the smallest index
+    return blend_prediction(forest.protocol, responses, features, W, forest.gamma)
 
 
 def predict_top_vote(forest: RecForest, responses, features) -> Prediction:

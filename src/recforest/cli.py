@@ -41,9 +41,9 @@ from .metrics import (
     CompareConfig,
     _eval_report,
     _holdout_split,
-    _predict_strategy,
     _report_record,
     _sample_errors,
+    _strategy_outputs,
     curve_lines,
     format_comparison,
     run_comparison,
@@ -236,7 +236,7 @@ def _forest_outputs(forest, dataset, selector):
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
     strategy = "rec-forest" if forest.kind == "recommendation" else selector
-    return _predict_strategy(forest, strategy, dataset.responses, dataset.features)
+    return _strategy_outputs(strategy, dataset, slice(None), forest)
 
 
 class _JsonFloat(float):

@@ -19,9 +19,10 @@ across workers.
 """
 
 import json
+import numbers
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -274,6 +275,17 @@ def _require(cond, message):
 def _is_int(value):
     """A JSON integer; `true`/`false` parse as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int_fields(config):
+    """ValueError unless every `int` field of the dataclass `config` holds an
+    integer (numpy's too) that is not a bool; `int | None` also takes None."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, int | None) and not (
+                value is None and f.type != int
+                or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+            raise ValueError("%s must be an integer" % f.name)
 
 
 def _is_number(value):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelProtocol, Prediction, ResponseDataset, rating_vector
+from .data import ModelProtocol, Prediction, ResponseDataset, _check_int_fields, rating_vector
 from .seeds import derive_seed
 from .simplex import solve_gram_batch
 
@@ -110,6 +110,7 @@ class RecTrainConfig:
     rng_seed: int = 0
 
     def validate(self):
+        _check_int_fields(self)
         if self.tree_count < 1:
             raise ValueError("tree_count must be >= 1")
         if self.max_depth < 0:
@@ -527,6 +528,8 @@ def _check_inputs(forest, responses, features):
     responses = np.asarray(responses, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     proto = forest.protocol
+    if features.ndim != 2:
+        raise ValueError("features must be a 2-D array, one row per sample")
     M = features.shape[0]
     if responses.shape != (M, proto.model_count, proto.landmark_count, 2):
         raise ValueError("responses shape does not match the forest protocol")

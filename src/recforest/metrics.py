@@ -21,7 +21,7 @@ import numpy as np
 
 from .classforest import _ClassCriterion, derive_labels, \
     predict_posterior_rating_many, predict_top_vote_many
-from .data import ResponseDataset
+from .data import ResponseDataset, _check_int_fields
 from .forest import RecForest, RecTrainConfig, _grow_forests, _RecCriterion, \
     accuracy_maximizing_threshold, blend_prediction, predict_many
 from .seeds import derive_seed
@@ -124,6 +124,7 @@ class CompareConfig:
     train: RecTrainConfig = field(default_factory=RecTrainConfig)
 
     def validate(self):
+        _check_int_fields(self)
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(
@@ -162,30 +163,24 @@ def _holdout_split(indices, fraction, rng):
     return np.sort(shuffled[val_count:]), np.sort(shuffled[:val_count])
 
 
-def _predict_strategy(forest, strategy, responses, features):
-    """(landmarks, confidences, flags) of a forest under the `rec-forest`,
-    `top-vote` or `posterior-rating` strategy."""
-    if strategy == "top-vote":
-        return predict_top_vote_many(forest, responses, features)
-    if strategy == "posterior-rating":
-        return predict_posterior_rating_many(forest, responses, features)
-    return predict_many(forest, responses, features)
-
-
-def _strategy_outputs(strategy, dataset, idx, model, centers):
-    """(landmarks, confidences, flags) of one strategy on the given rows.
+def _strategy_outputs(strategy, dataset, idx, model, centers=None):
+    """(landmarks, confidences, flags) of one strategy on rows `idx`, an
+    index array or a slice (a slice keeps the arrays views).
 
     `model` is the strategy's forest, or for a prior baseline the yaw
-    estimate of every sample; the baseline answers with the expert whose
-    cluster center is nearest that estimate.
+    estimate of every sample; that baseline's rating is one-hot on the
+    expert whose cluster center in `centers` is nearest the estimate.
     """
-    responses = dataset.responses[idx]
-    features = dataset.features[idx]
+    responses, features = dataset.responses[idx], dataset.features[idx]
     if strategy in ("fixed-frontal", "noisy-prior"):
         choice = np.argmin(np.abs(model[idx, None] - centers[None, :]), axis=1)
         W = np.eye(dataset.model_count)[choice]
         return blend_prediction(dataset.protocol, responses, features, W, 0.0)
-    return _predict_strategy(model, strategy, responses, features)
+    if strategy == "top-vote":
+        return predict_top_vote_many(model, responses, features)
+    if strategy == "posterior-rating":
+        return predict_posterior_rating_many(model, responses, features)
+    return predict_many(model, responses, features)
 
 
 def _sample_errors(landmarks, dataset, rows):

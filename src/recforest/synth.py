@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import _BLOCK, ModelProtocol, ResponseDataset
+from .data import _BLOCK, ModelProtocol, ResponseDataset, _check_int_fields
 from .seeds import derive_seed
 
 TOP_ANCHOR = 0
@@ -53,6 +53,7 @@ class GenConfig:
         return len(self.cluster_centers)
 
     def validate(self):
+        _check_int_fields(self)
         for field in fields(self):
             if field.type is float and not math.isfinite(getattr(self, field.name)):
                 raise ValueError("%s must be finite" % field.name)

@@ -18,7 +18,7 @@ from recforest.data import (
     _require,
     rating_vector,
 )
-from recforest.forest import SplitParams
+from recforest.forest import Split, SplitParams
 from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, solve
 from recforest.synth import (
@@ -145,6 +145,37 @@ def random_masks(rng, S, Q=12):
     masks[0] = True
     masks[1] = False
     return masks
+
+
+def tree_votes(forest, features):
+    """(M, C) vote counts: each tree, walked `Split` by `Split` to a leaf,
+    votes the argmax of that leaf's posterior (ties to the smallest index)."""
+    votes = np.zeros((features.shape[0], forest.protocol.model_count), dtype=np.int64)
+    for m, row in enumerate(features):
+        for node in forest.trees:
+            while isinstance(node, Split):
+                go_left = row[node.params.feature_index] <= node.params.threshold
+                node = node.left if go_left else node.right
+            votes[m, int(np.argmax(node.rating))] += 1
+    return votes
+
+
+def top_vote_oracle(forest, responses, features):
+    """Top-vote outputs one sample and landmark at a time: the most-voted
+    model (ties to the smallest index) answers with its own responses, and
+    with its own detection score, clipped to [0, 1], on each landmark its
+    protocol marks visible (0 elsewhere)."""
+    proto = forest.protocol
+    M, N = features.shape[0], proto.landmark_count
+    landmarks = np.empty((M, N, 2))
+    confidence = np.zeros((M, N))
+    for m, counts in enumerate(tree_votes(forest, features)):
+        winner = int(np.argmax(counts))
+        landmarks[m] = responses[m, winner]
+        for n in np.nonzero(proto.masks[winner])[0]:
+            score = features[m, proto.slot_grid[winner, n]]
+            confidence[m, n] = min(max(score, 0.0), 1.0)
+    return landmarks, confidence, confidence >= forest.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,14 @@ from recforest.forest import (
 )
 from recforest.synth import GenConfig, generate, metadata_arrays, two_cluster_config
 
-from helpers import class_mask_stats_direct, random_dataset, random_masks, subset_rows
+from helpers import (
+    class_mask_stats_direct,
+    random_dataset,
+    random_masks,
+    subset_rows,
+    top_vote_oracle,
+    tree_votes,
+)
 
 
 class TestEntropy:
@@ -199,6 +206,15 @@ class TestTraining:
             train_class_forest(ds, np.zeros(5, dtype=np.int64), config)
         with pytest.raises(ValueError):
             train_class_forest(ds, np.full(6, 3, dtype=np.int64), config)
+        for bad in (np.full(6, 0.7), np.zeros(6), np.zeros(6, dtype=bool)):
+            with pytest.raises(ValueError, match="labels must be integer model indices"):
+                train_class_forest(ds, bad, config)
+            with pytest.raises(ValueError, match="cluster_id must be integer model indices"):
+                derive_labels(ds, bad)
+        # an empty list is no label array of the wrong type, only of the wrong length
+        with pytest.raises(ValueError, match="cluster_id length"):
+            derive_labels(ds, [])
+        assert derive_labels(ds, np.arange(6, dtype=np.uint8) % 3).dtype == np.int64
 
 
 def _leaf_forest(proto, posterior, gamma=0.5):
@@ -317,6 +333,17 @@ class TestTopVote:
         )
         assert conf[0, 0] == 1.0
 
+    def test_negative_zero_reads_zero_as_in_every_blend(self):
+        # the one-hot blend adds the other models' +0.0 terms
+        proto = ModelProtocol(np.ones((2, 1), dtype=bool))
+        forest = _leaf_forest(proto, [1.0, 0.0])
+        responses = np.array([[[[-0.0, 2.0]], [[-3.0, 0.0]]]])
+        landmarks, conf, _ = predict_top_vote_many(
+            forest, responses, np.array([[-0.0, 0.4]])
+        )
+        assert np.array_equal(landmarks, [[[0.0, 2.0]]]) and conf[0, 0] == 0.0
+        assert not np.signbit(landmarks).any() and not np.signbit(conf).any()
+
     def test_single_sample_wrapper(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, M=4, C=3)
@@ -339,6 +366,25 @@ class TestTopVote:
             predict_top_vote_many(forest, ds.responses[:, :2], ds.features)
         with pytest.raises(ValueError):
             predict_top_vote_many(forest, ds.responses, ds.features[:, :-1])
+
+
+@pytest.mark.parametrize("source", ["random", "generator"])
+def test_top_vote_matches_per_sample_oracle_bit_for_bit(source):
+    if source == "random":
+        ds = random_dataset(np.random.default_rng(21), M=120, C=4, N=6)
+        labels = derive_labels(ds)
+    else:
+        ds, meta = generate(GenConfig(sample_count=300, rng_seed=4))
+        labels = metadata_arrays(meta)[1]
+    config = RecTrainConfig(tree_count=4, max_depth=4, min_samples_per_leaf=3, rng_seed=2)
+    forest = train_class_forest(ds, labels, config)
+    votes = tree_votes(forest, ds.features)
+    assert ((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+    got = predict_top_vote_many(forest, ds.responses, ds.features)
+    want = top_vote_oracle(forest, ds.responses, ds.features)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 class TestPosteriorRating:

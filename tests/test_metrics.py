@@ -550,6 +550,10 @@ class TestCompareConfigValidation:
             {"cluster_centers": (float("nan"), 0.0, 10.0, 20.0, 30.0)},
             {"cluster_centers": (-30.0, float("-inf"))},
             {"cluster_centers": (0.0, float("inf"))},
+            {"fold_count": 2.5},
+            {"fold_count": True},
+            {"rng_seed": 0.5},
+            {"train": RecTrainConfig(tree_count=1.5)},
         ],
     )
     def test_rejections(self, kwargs):

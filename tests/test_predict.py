@@ -142,8 +142,7 @@ def _leaf_of(node, features):
     return node
 
 
-@pytest.mark.parametrize("bad", ["features", "responses"])
-@pytest.mark.parametrize(
+PREDICTORS = pytest.mark.parametrize(
     "predictor, kind, single",
     [
         (predict_many, "rec", False),
@@ -152,13 +151,20 @@ def _leaf_of(node, features):
         (predict, "rec", True),
     ],
 )
-def test_non_finite_inputs_rejected(predictor, kind, single, bad):
+
+
+def _trained(kind):
     ds = random_dataset(np.random.default_rng(14), M=20)
     config = RecTrainConfig(tree_count=2, max_depth=3, rng_seed=1)
     if kind == "rec":
-        forest = train_forest(ds, config)
-    else:
-        forest = train_class_forest(ds, derive_labels(ds), config)
+        return ds, train_forest(ds, config)
+    return ds, train_class_forest(ds, derive_labels(ds), config)
+
+
+@pytest.mark.parametrize("bad", ["features", "responses"])
+@PREDICTORS
+def test_non_finite_inputs_rejected(predictor, kind, single, bad):
+    ds, forest = _trained(kind)
     responses = ds.responses.copy()
     features = ds.features.copy()
     if bad == "features":
@@ -169,6 +175,14 @@ def test_non_finite_inputs_rejected(predictor, kind, single, bad):
         responses, features = responses[1], features[1]
     with pytest.raises(ValueError, match="finite"):
         predictor(forest, responses, features)
+
+
+@PREDICTORS
+def test_scalar_features_rejected(predictor, kind, single):
+    ds, forest = _trained(kind)
+    responses = ds.responses[1] if single else ds.responses
+    with pytest.raises(ValueError, match="features"):
+        predictor(forest, responses, 5.0)
 
 
 class TestGammaCalibration:

@@ -258,6 +258,10 @@ class TestConfigValidation:
             {"score_noise": math.inf},
             {"score_sharpness": math.inf},
             {"occlusion_rate": math.nan},
+            {"sample_count": 10.5},
+            {"sample_count": True},
+            {"landmark_count": 12.0},
+            {"rng_seed": 0.5},
         ],
     )
     def test_rejections(self, overrides):

@@ -572,9 +572,19 @@ class TestConfigValidation:
             dict(min_gain=-1.0),
             dict(bootstrap_fraction=0.0),
             dict(bootstrap_fraction=1.5),
+            dict(tree_count=1.5),
+            dict(tree_count=True),
+            dict(rng_seed=0.5),
+            dict(min_samples_per_leaf=2.5),
+            dict(max_depth=None),
+            dict(candidate_feature_count=2.0),
+            dict(candidate_threshold_count=2.5),
+            dict(candidate_threshold_count=np.bool_(True)),
         ):
             with pytest.raises(ValueError):
                 RecTrainConfig(**bad).validate()
+        RecTrainConfig(tree_count=np.int64(2), candidate_feature_count=np.uint8(3),
+                       rng_seed=np.int32(7)).validate()
 
     def test_split_params_validation(self):
         with pytest.raises(ValueError):
