@@ -12,8 +12,11 @@
 #
 # Commands: gen (M=400, seed 5); gen of 257 samples in two clusters at
 # -40/40 with yaw drawn only inside them (--in-cluster-only, seed 9), which
-# crosses two edges of the generator's sample blocks; train rec and class at
-# --workers 1 and 2; predict with the rec forest and with the class forest
+# crosses two edges of the generator's sample blocks; gen of 150 samples
+# (seed 4) with a --config file that sets a float, a boolean and a tuple
+# field (in_noise, in_cluster_only, cluster_centers); train rec and class at
+# --workers 1 and 2; train rec with a --config file that sets min_gain and
+# bootstrap_fraction; predict with the rec forest and with the class forest
 # under both selectors; eval of the same three in records (with --out) and
 # table formats; predict and eval (records) with the rec forest on the M=400
 # dataset file re-written in a layout `save_dataset` never writes (indented,
@@ -40,6 +43,9 @@ mkdir -p "$work/base"
 git -C "$repo" archive "$rev" src | tar -x -C "$work/base"
 echo '{"train": {"bootstrap_fraction": 0.6, "tree_count": 4}, "fold_count": 3}' \
     > "$work/compare-bootstrap.json"
+echo '{"in_noise": 0.03, "in_cluster_only": true, "cluster_centers": [-40, 0.0, 40.5]}' \
+    > "$work/gen-config.json"
+echo '{"min_gain": 1e-6, "bootstrap_fraction": 0.7}' > "$work/train-config.json"
 
 run_all() {  # run_all SRC_DIR OUT_DIR
     local src=$1 out=$2 w sel
@@ -49,12 +55,16 @@ run_all() {  # run_all SRC_DIR OUT_DIR
     cli gen --out "$out/data" --m 400 --seed 5 > "$out/gen.txt"
     cli gen --out "$out/data-in-cluster" --m 257 --in-cluster-only \
         --centers=-40,40 --seed 9 > "$out/gen-in-cluster.txt"
+    cli gen --out "$out/data-config" --m 150 --config "$work/gen-config.json" \
+        --seed 4 > "$out/gen-config.txt"
     for w in 1 2; do
         cli train --data "$out/data" --out "$out/rec-w$w.json" \
             --workers "$w" > "$out/train-rec-w$w.txt"
         cli train --data "$out/data" --out "$out/class-w$w.json" \
             --method class --workers "$w" > "$out/train-class-w$w.txt"
     done
+    cli train --data "$out/data" --out "$out/rec-config.json" \
+        --config "$work/train-config.json" > "$out/train-rec-config.txt"
     cli predict --forest "$out/rec-w1.json" --data "$out/data" \
         --out "$out/predict-rec.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data" \

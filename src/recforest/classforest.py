@@ -25,16 +25,17 @@ from .forest import (
 )
 
 
-def _check_labels(labels, dataset, noun):
-    """`labels` as an int64 array of one pool model index per sample."""
+def _check_labels(labels, class_count, noun):
+    """`labels` as a 1-D int64 array of class (pool model) indices, each in
+    [0, class_count)."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError("%s must be a 1-D array" % noun)
     if labels.size and labels.dtype.kind not in "iu":
         raise ValueError("%s must be integer model indices, not %s" % (noun, labels.dtype))
     labels = labels.astype(np.int64, copy=False)
-    if labels.shape != (dataset.sample_count,):
-        raise ValueError("%s length does not match the dataset" % noun)
-    if labels.size and (labels.min() < 0 or labels.max() >= dataset.model_count):
-        raise ValueError("%s out of range for the model pool" % noun)
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise ValueError("%s out of range for %d classes" % (noun, class_count))
     return labels
 
 
@@ -46,7 +47,10 @@ def derive_labels(dataset: ResponseDataset, cluster_id=None) -> np.ndarray:
     sample's visible landmarks, ties to the smallest index.
     """
     if cluster_id is not None:
-        return _check_labels(cluster_id, dataset, "cluster_id").copy()
+        labels = _check_labels(cluster_id, dataset.model_count, "cluster_id")
+        if labels.size != dataset.sample_count:
+            raise ValueError("cluster_id length does not match the dataset")
+        return labels.copy()
     gt0 = np.where(dataset.visible[:, :, None], dataset.ground_truth, 0.0)
     diff = dataset.responses - gt0[:, None, :, :]
     sq = np.einsum("mcnd,mcnd->mcn", diff, diff)
@@ -55,8 +59,9 @@ def derive_labels(dataset: ResponseDataset, cluster_id=None) -> np.ndarray:
 
 
 def entropy(labels, class_count: int) -> float:
-    """Empirical label entropy in nats; 0*ln 0 taken as 0."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Empirical entropy in nats of integer labels in [0, class_count);
+    0*ln 0 taken as 0."""
+    labels = _check_labels(labels, class_count, "labels")
     if labels.size == 0:
         raise ValueError("entropy of an empty subset is undefined")
     counts = np.bincount(labels, minlength=class_count).astype(np.float64)
@@ -109,7 +114,9 @@ def train_class_forest(dataset: ResponseDataset, labels,
     forest, so comparisons share every hyperparameter.
     """
     config.validate()
-    labels = _check_labels(labels, dataset, "labels")
+    labels = _check_labels(labels, dataset.model_count, "labels")
+    if labels.size != dataset.sample_count:
+        raise ValueError("labels length does not match the dataset")
     criterion = _ClassCriterion(labels, dataset.model_count)
     trees = _run_tree_tasks(criterion, dataset.features, config, workers)
     return RecForest(trees=trees, protocol=dataset.protocol, gamma=0.5,

@@ -12,9 +12,7 @@ import json
 import logging
 import os
 import sys
-import types
 from dataclasses import asdict, fields
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -22,9 +20,7 @@ from .classforest import derive_labels, train_class_forest
 from .data import (
     _BLOCK,
     _atomic_write,
-    _is_int,
-    _is_list_of,
-    _is_number,
+    _fits,
     _read_json,
     load_dataset,
     load_metadata,
@@ -88,43 +84,23 @@ def _parse_floats(text, label):
         raise ValueError("%s must be comma-separated numbers" % label)
 
 
-def _fits(value, kind):
-    """Whether a parsed JSON value has the type a config field declares."""
-    if get_origin(kind) is types.UnionType:
-        return any(_fits(value, k) for k in get_args(kind))
-    if get_origin(kind) is tuple:
-        return _is_list_of(lambda v: _fits(v, get_args(kind)[0]), value)
-    if kind is int:
-        return _is_int(value)
-    if kind is float:  # a JSON integer too large for a float does not fit
-        return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
 def _merge_dataclass(cls, label, base, config_doc, args):
     """`cls` from `base`, overridden by the config file's values and then by
-    the flags given on the command line."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(config_doc) - set(kinds))
+    the flags given on the command line, and validated."""
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(config_doc) - set(names))
     if unknown:
         raise ValueError(
             "unknown config keys for %s: %s" % (label, ", ".join(unknown))
         )
-    for key, value in config_doc.items():
-        kind = kinds[key]
-        if not _fits(value, kind):
-            raise ValueError(
-                "config key %r must be %s, got %s"
-                % (key, kind.__name__ if isinstance(kind, type) else kind,
-                   json.dumps(value))
-            )
-    merged = dict(base)
-    merged.update(config_doc)
-    for name in kinds:
+    merged = dict(base, **config_doc)
+    for name in names:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    return cls(**merged)
+    config = cls(**merged)
+    config.validate()
+    return config
 
 
 def _load_data_dir(path, need_metadata=False):
@@ -199,7 +175,7 @@ def cmd_train(args):
     doc.pop("val", None)
     config = _train_config(args, doc)
     dataset, meta = _load_data_dir(args.data)
-    if not (_is_number(val_fraction) and 0.0 < val_fraction < 1.0):
+    if not (_fits(val_fraction, float) and 0.0 < val_fraction < 1.0):
         raise ValueError("--val must be in (0, 1)")
     rng = np.random.default_rng(derive_seed(config.rng_seed, "val"))
     fit_idx, val_idx = _holdout_split(

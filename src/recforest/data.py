@@ -22,8 +22,11 @@ import json
 import numbers
 import os
 import re
+import sys
+import types
 from dataclasses import dataclass, fields
 from itertools import chain
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -277,15 +280,32 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int_fields(config):
-    """ValueError unless every `int` field of the dataclass `config` holds an
-    integer (numpy's too) that is not a bool; `int | None` also takes None."""
+def _fits(value, kind):
+    """Whether `value` has the annotated type `kind`: numbers (numpy's too) are
+    not bools, a float is finite, a tuple may be a list or a 1-D array."""
+    if get_origin(kind) is types.UnionType:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        return (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray)
+                and value.ndim == 1) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind is float:  # compared as a Python number: exact for an int, and no numpy warning
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(
+            int(value) if isinstance(value, numbers.Integral) else float(value)) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+_TYPE_NAMES = {int: "an integer", int | None: "an integer or None", float: "a finite number",
+               bool: "a boolean"}  # other annotations read as written
+
+
+def _check_fields(config):
+    """ValueError unless each field of the dataclass `config` `_fits` its annotation."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in (int, int | None) and not (
-                value is None and f.type != int
-                or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-            raise ValueError("%s must be an integer" % f.name)
+        if not _fits(getattr(config, f.name), f.type):
+            raise ValueError("%s must be %s" % (f.name, _TYPE_NAMES.get(f.type) or (
+                f.type if get_origin(f.type) else f.type.__name__)))
 
 
 def _is_number(value):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelProtocol, Prediction, ResponseDataset, _check_int_fields, rating_vector
+from .data import ModelProtocol, Prediction, ResponseDataset, _check_fields, rating_vector
 from .seeds import derive_seed
 from .simplex import solve_gram_batch
 
@@ -110,7 +110,7 @@ class RecTrainConfig:
     rng_seed: int = 0
 
     def validate(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if self.tree_count < 1:
             raise ValueError("tree_count must be >= 1")
         if self.max_depth < 0:
@@ -582,6 +582,8 @@ def accuracy_maximizing_threshold(confidences, labels):
     labels = np.asarray(labels, dtype=bool).ravel()
     if conf.size == 0 or conf.shape != labels.shape:
         raise ValueError("confidences and labels must be matching non-empty arrays")
+    if not np.isfinite(conf).all():  # NaN is never >= a threshold, yet sorts last
+        raise ValueError("confidences must be finite")
     candidates = np.unique(np.concatenate([conf, [0.0, 1.0]]))
     order = np.argsort(conf, kind="stable")
     sorted_conf = conf[order]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classforest import _ClassCriterion, derive_labels, \
     predict_posterior_rating_many, predict_top_vote_many
-from .data import ResponseDataset, _check_int_fields
+from .data import ResponseDataset, _check_fields
 from .forest import RecForest, RecTrainConfig, _grow_forests, _RecCriterion, \
     accuracy_maximizing_threshold, blend_prediction, predict_many
 from .seeds import derive_seed
@@ -53,6 +53,11 @@ def sample_error(predicted, truth, visible, normalizer) -> float:
     predicted = np.asarray(predicted, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     visible = np.asarray(visible, dtype=bool)
+    if not (predicted.ndim == 2 and predicted.shape[1] == 2 and truth.shape == predicted.shape
+            and visible.shape == predicted.shape[:1]):
+        raise ValueError("predicted and truth must be (N, 2) and visible (N,)")
+    if not (np.isfinite(predicted[visible]).all() and np.isfinite(truth[visible]).all()):
+        raise ValueError("predicted and truth must be finite at the visible landmarks")
     if normalizer <= 0 or not np.isfinite(normalizer):
         raise ValueError("normalizer must be positive and finite")
     if not visible.any():
@@ -124,7 +129,7 @@ class CompareConfig:
     train: RecTrainConfig = field(default_factory=RecTrainConfig)
 
     def validate(self):
-        _check_int_fields(self)
+        _check_fields(self)
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(
@@ -136,11 +141,8 @@ class CompareConfig:
             raise ValueError("fold_count must be at least 2")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if not 0 <= self.pose_noise_deg < np.inf:
-            raise ValueError("pose_noise_deg must be finite and nonnegative")
-        if self.cluster_centers is not None and not np.isfinite(
-                np.asarray(self.cluster_centers, dtype=np.float64)).all():
-            raise ValueError("cluster_centers must be finite")
+        if self.pose_noise_deg < 0:
+            raise ValueError("pose_noise_deg must be nonnegative")
         self.train.validate()
 
 

@@ -11,14 +11,13 @@ complete or not at all.
 """
 
 import json
-import sys
 
 from .data import (
     SchemaError,
     _atomic_write,
+    _fits,
     _float_array,
     _is_int,
-    _is_number,
     _read_json,
     _read_protocol,
     _require,
@@ -62,11 +61,6 @@ def save_forest(forest, path) -> None:
     _atomic_write(path, [json.dumps(payload, indent=1) + "\n"])
 
 
-def _is_finite_number(value):
-    """A JSON number that is finite as a float64 (huge integers are not)."""
-    return _is_number(value) and abs(value) <= sys.float_info.max
-
-
 def _node_from_obj(obj, rating_key, feature_count, model_count):
     _require(isinstance(obj, dict), "tree node must be an object")
     kind = obj.get("type")
@@ -75,9 +69,9 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
         _require(_is_int(fi) and 0 <= fi < feature_count,
                  "split featureIndex out of range")
         tau = obj.get("threshold")
-        _require(_is_finite_number(tau), "split threshold must be finite")
+        _require(_fits(tau, float), "split threshold must be finite")
         gain = obj.get("gain")
-        _require(_is_finite_number(gain), "split gain must be finite")
+        _require(_fits(gain, float), "split gain must be finite")
         _require("left" in obj and "right" in obj, "split missing a child")
         return Split(
             params=SplitParams(feature_index=fi, threshold=float(tau)),
@@ -111,7 +105,7 @@ def load_forest(path):
              "forest kind must be recommendation or classification")
     gamma = payload.get("gamma")
     _require(
-        _is_number(gamma) and 0.0 <= gamma <= 1.0,
+        _fits(gamma, float) and 0.0 <= gamma <= 1.0,
         "gamma must be in [0, 1]",
     )
     protocol = _read_protocol(payload.get("masks"))

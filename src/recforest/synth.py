@@ -11,11 +11,11 @@ landmark when it is actually visible and stay low otherwise.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _BLOCK, ModelProtocol, ResponseDataset, _check_int_fields
+from .data import _BLOCK, ModelProtocol, ResponseDataset, _check_fields
 from .seeds import derive_seed
 
 TOP_ANCHOR = 0
@@ -53,10 +53,7 @@ class GenConfig:
         return len(self.cluster_centers)
 
     def validate(self):
-        _check_int_fields(self)
-        for field in fields(self):
-            if field.type is float and not math.isfinite(getattr(self, field.name)):
-                raise ValueError("%s must be finite" % field.name)
+        _check_fields(self)
         if self.sample_count < 1:
             raise ValueError("M must be ≥ 1")
         if self.landmark_count < 4:
@@ -71,8 +68,6 @@ class GenConfig:
         centers = np.asarray(self.cluster_centers, dtype=np.float64)
         if centers.size < 1:
             raise ValueError("need at least one cluster center")
-        if not np.isfinite(centers).all():
-            raise ValueError("cluster_centers must be finite")
         if centers.size > 1 and not np.all(np.diff(centers) > 0):
             raise ValueError("cluster_centers must be strictly increasing")
         if centers.min() < lo or centers.max() > hi:

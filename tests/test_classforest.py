@@ -66,6 +66,16 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy([], 3)
 
+    @pytest.mark.parametrize("labels, class_count", [
+        (np.array([0.2, 1.9, 1.2]), 3),
+        ([True, False], 2),
+        (np.array([0, 5]), 3),
+        (np.array([-1, 0]), 2),
+    ])
+    def test_labels_must_be_class_indices(self, labels, class_count):
+        with pytest.raises(ValueError, match="^labels (must be integer|out of range)"):
+            entropy(labels, class_count)
+
 
 def _fit_dataset(rng, M=10, C=3, N=4):
     """Dataset where derive_labels has an unambiguous fallback answer."""

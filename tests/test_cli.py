@@ -126,6 +126,23 @@ class TestConfigTypes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_flag_overrides_mistyped_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"sample_count": "30", "landmark_count": 6}))
+        argv = ["gen", "--out", str(tmp_path / "data"), "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: sample_count must be an integer\n"
+        assert main(argv + ["--m", "40"]) == 0
+        assert capsys.readouterr().out.startswith("M=40 C=5 N=6")
+
+    def test_config_value_error_before_data_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"tree_count": 0}))
+        rc = main(["train", "--data", str(tmp_path / "missing"), "--config", str(cfg),
+                   "--out", str(tmp_path / "f.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: tree_count must be >= 1\n"
+
 
 class TestTrain:
     def test_rec_method(self, tmp_path, capsys):

@@ -70,6 +70,19 @@ class TestSampleError:
             sample_error(pred, pred, [True], 0.0)
         with pytest.raises(ValueError):
             sample_error(pred, pred, [True], float("nan"))
+        for predicted, truth, visible in (
+            (np.zeros((3, 2)), np.zeros((4, 2)), [True] * 3),
+            (np.zeros((3, 2)), np.zeros((3, 2)), [True] * 4),
+            (np.zeros((3, 3)), np.zeros((3, 3)), [True] * 3),
+            (np.zeros(2), np.zeros(2), [True]),
+            (np.array([[np.nan, 0.0]]), np.zeros((1, 2)), [True]),
+            (np.zeros((1, 2)), np.array([[0.0, np.inf]]), [True]),
+        ):
+            with pytest.raises(ValueError, match="^predicted and truth must be"):
+                sample_error(predicted, truth, visible, 1.0)
+        # a NaN at an invisible landmark is a sentinel, not an error
+        assert sample_error([[1.0, 0.0], [np.nan, np.nan]], [[0.0, 0.0], [np.nan, np.nan]],
+                            [True, False], 1.0) == 100.0
 
 
 def test_sample_errors_equal_sample_error_bit_for_bit():
@@ -554,11 +567,19 @@ class TestCompareConfigValidation:
             {"fold_count": True},
             {"rng_seed": 0.5},
             {"train": RecTrainConfig(tree_count=1.5)},
+            {"validation_fraction": "0.2"},
+            {"pose_noise_deg": [1]},
+            {"strategies": "rec-forest"},
+            {"train": {"tree_count": 3}},
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
             CompareConfig(**kwargs).validate()
+
+    def test_numpy_values_pass(self):
+        CompareConfig(cluster_centers=np.array([-40.0, 0.0, 40.0]), fold_count=np.int64(3),
+                      pose_noise_deg=np.float32(10.0)).validate()
 
 
 class TestFormatting:

@@ -232,6 +232,13 @@ class TestGammaCalibration:
         with pytest.raises(ValueError):
             accuracy_maximizing_threshold(np.array([]), np.array([], dtype=bool))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        # NaN sorts above every candidate but is never >= one: (1.0, 1.0) at
+        # the parent, where the accuracy at 1.0 is 0.5
+        with pytest.raises(ValueError, match="confidences must be finite"):
+            accuracy_maximizing_threshold([bad, 0.5], [True, False])
+
 
 def _scan_oracle(conf, labels):
     """Brute-force scan over candidate thresholds; smallest argmax wins."""

@@ -262,12 +262,18 @@ class TestConfigValidation:
             {"sample_count": True},
             {"landmark_count": 12.0},
             {"rng_seed": 0.5},
+            {"in_noise": "0.1"},
+            {"in_cluster_only": "yes"},
         ],
     )
     def test_rejections(self, overrides):
         cfg = dataclasses.replace(GenConfig(), **overrides)
         with pytest.raises(ValueError):
             cfg.validate()
+
+    def test_numpy_values_pass(self):
+        GenConfig(cluster_centers=np.array([-40.0, 40.0]), in_noise=np.float32(0.1),
+                  sample_count=np.int64(10)).validate()
 
     @pytest.mark.parametrize("yaw_range", [(-90.0, 0.0, 90.0), (0.0,)])
     def test_yaw_range_needs_two_entries(self, yaw_range):

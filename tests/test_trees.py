@@ -1,6 +1,7 @@
 """Recommendation-tree training: costs, split gains, growth, determinism."""
 
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -580,11 +581,14 @@ class TestConfigValidation:
             dict(candidate_feature_count=2.0),
             dict(candidate_threshold_count=2.5),
             dict(candidate_threshold_count=np.bool_(True)),
+            dict(min_gain="x"),
+            dict(bootstrap_fraction=None),
+            dict(min_gain=math.inf),
         ):
             with pytest.raises(ValueError):
                 RecTrainConfig(**bad).validate()
         RecTrainConfig(tree_count=np.int64(2), candidate_feature_count=np.uint8(3),
-                       rng_seed=np.int32(7)).validate()
+                       rng_seed=np.int32(7), min_gain=np.float32(0.1)).validate()
 
     def test_split_params_validation(self):
         with pytest.raises(ValueError):
