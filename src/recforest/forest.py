@@ -220,124 +220,6 @@ class _RecCriterion(_SampleSums):
         return payloads, totals, feasible
 
 
-def _grow_tree(criterion, features, idx, config, rng):
-    """Grow one tree over the sample multiset `idx` as a generator.
-
-    Each node that evaluates candidates yields one request, the criterion's
-    `mask_stats` for the candidates' left masks (the left rows, then the right
-    rows as node total minus left), and expects the criterion's `fit_batch`
-    result for it sent back; `_grow_lockstep` answers the requests of many
-    trees with one `fit_batch`.  The root's fit is `fit_batch` on its
-    `node_stats`.  The generator returns (root, counters).
-
-    Leaves hold the criterion's fitted payload as `Leaf.rating`: a simplex
-    rating for the recommendation criterion, the class posterior for the
-    classification one.
-
-    Candidate features are drawn without replacement, thresholds uniformly
-    inside each feature's node range; the best candidate wins by gain with
-    ties to the earliest candidate.  RNG is consumed in depth-first node
-    order (node, then left subtree, then right subtree), whatever the
-    order in which requests are answered.  A node with fewer than
-    2 * min_samples_per_leaf samples draws its candidates too, then becomes
-    a leaf without a request, since no split there could leave
-    min_samples_per_leaf samples on both sides.
-    """
-    counters = {"nodes": 0, "depth": 0}
-    F = features.shape[1]
-    n_feats = config.candidate_feature_count
-    if n_feats is None:
-        n_feats = int(math.ceil(math.sqrt(F)))
-    n_feats = min(n_feats, F)
-    n_thresh = config.candidate_threshold_count
-    Q = n_feats * n_thresh
-
-    def build(idx, depth, weight, payload, total_cost):
-        counters["nodes"] += 1
-        counters["depth"] = max(counters["depth"], depth)
-        if depth >= config.max_depth:
-            return Leaf(rating=payload, sample_count=idx.size)
-        feats = rng.choice(F, size=n_feats, replace=False)
-        node_feats = features[idx][:, feats]
-        lo = node_feats.min(axis=0)
-        hi = node_feats.max(axis=0)
-        taus = rng.uniform(lo[:, None], hi[:, None], size=(n_feats, n_thresh))
-        if idx.size < 2 * config.min_samples_per_leaf:
-            return Leaf(rating=payload, sample_count=idx.size)
-        left_masks = (node_feats.T[:, None, :] <= taus[:, :, None]).reshape(Q, idx.size)
-        request = criterion.mask_stats(idx, left_masks)
-        # A suspended frame holds nothing of size (candidates x samples);
-        # the winning mask is recomputed below.
-        del node_feats, left_masks
-        payloads, totals, feasible = yield request
-        weights = criterion.weight(request)
-        del request
-        with np.errstate(invalid="ignore"):
-            gains = np.where(
-                feasible[:Q] & feasible[Q:],
-                (total_cost - totals[:Q] - totals[Q:]) / weight,
-                -np.inf,
-            )
-        best = int(np.argmax(gains))
-        f_pos, t_pos = divmod(best, n_thresh)
-        params = SplitParams(int(feats[f_pos]), float(taus[f_pos, t_pos]))
-        mask = features[idx, params.feature_index] <= params.threshold
-        n_left = int(mask.sum())
-        n_right = idx.size - n_left
-        if (
-            not gains[best] > config.min_gain
-            or n_left < config.min_samples_per_leaf
-            or n_right < config.min_samples_per_leaf
-        ):
-            return Leaf(rating=payload, sample_count=idx.size)
-        gain = float(gains[best])
-        left_fit = (weights[best], payloads[best].copy(), totals[best])
-        right_fit = (weights[Q + best], payloads[Q + best].copy(), totals[Q + best])
-        del payloads, totals, feasible, weights, gains
-        left = yield from build(idx[mask], depth + 1, *left_fit)
-        right = yield from build(idx[~mask], depth + 1, *right_fit)
-        return Split(params=params, gain=gain, left=left, right=right)
-
-    stats0 = criterion.node_stats(idx)
-    payloads, totals, feasible = criterion.fit_batch(stats0)
-    if not feasible[0]:
-        raise ValueError("node has no visible landmark instances")
-    root = yield from build(idx, 0, criterion.weight(stats0)[0], payloads[0], totals[0])
-    return root, counters
-
-
-def _grow_lockstep(criterion, growers):
-    """Run `_grow_tree` generators together; returns their (root, counters).
-
-    Each step answers every live tree's pending request with one
-    `criterion.fit_batch` over the requests concatenated in tree order.
-    The fit of a row depends only on that row, so each tree comes out as
-    if grown alone.
-    """
-    results = [None] * len(growers)
-    pending = {}
-
-    def advance(i, reply):
-        try:
-            pending[i] = growers[i].send(reply)
-        except StopIteration as done:
-            results[i] = done.value
-
-    for i in range(len(growers)):
-        advance(i, None)
-    while pending:
-        live = sorted(pending)
-        requests = [pending.pop(i) for i in live]
-        bounds = np.cumsum([0] + [len(r[0]) for r in requests])
-        merged = tuple(np.concatenate(parts) for parts in zip(*requests))
-        del requests
-        payloads, totals, feasible = criterion.fit_batch(merged)
-        del merged
-        for i, lo, hi in zip(live, bounds[:-1], bounds[1:]):
-            advance(i, (payloads[lo:hi], totals[lo:hi], feasible[lo:hi]))
-    return results
-
-
 def bootstrap_indices(config: RecTrainConfig, sample_count: int, rng):
     """The sample multiset a tree trains on.
 
@@ -350,17 +232,150 @@ def bootstrap_indices(config: RecTrainConfig, sample_count: int, rng):
     return rng.integers(0, sample_count, size=size, dtype=np.int64)
 
 
-def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
-    """Train a single recommendation tree on the full dataset.
+_FIT_ROWS = 1024  # candidate rows per `fit_batch`, counted before duplicates drop
 
-    `rng` is a numpy Generator; the tree is a pure function of (dataset,
-    config, rng state).
+
+def _grow_levels(criterion, features, config, rows, rngs):
+    """Grow one tree per numpy Generator in `rngs`, all a level at a time.
+
+    A tree's Generator draws its sample multiset over `rows`, then one 64-bit
+    key.  The stream derive_seed(key, "depth", d) draws the candidates of the
+    tree's depth-d nodes in level order (left child before right, parent by
+    parent): features without replacement, the first columns of the argsort
+    of a (nodes, F) uniform matrix, then thresholds lo + u * (hi - lo) inside
+    each feature's node range.  A node at max_depth, or with fewer than
+    2 * min_samples_per_leaf samples, is a leaf and draws nothing.  So no
+    draw depends on other trees or deeper levels.
+
+    Candidates of a node with the same feature and left count are one
+    partition, solved once.  A level's nodes go to `fit_batch` in groups of
+    about `_FIT_ROWS` candidate rows.  The best candidate wins by gain, ties
+    to the earliest; the node splits if that gain exceeds min_gain and both
+    sides keep min_samples_per_leaf samples.  Leaves hold the criterion's
+    fitted payload as `Leaf.rating`: a simplex rating for the recommendation
+    criterion, the class posterior for the classification one.
+
+    Returns [(root, counters)]; counters hold the tree's nodes and depth and
+    the growth seconds of the whole call.
+    """
+    start = time.perf_counter()
+    F = features.shape[1]
+    n_feats = config.candidate_feature_count
+    if n_feats is None:
+        n_feats = int(math.ceil(math.sqrt(F)))
+    n_feats = min(n_feats, F)
+    n_thresh = config.candidate_threshold_count
+    Q = n_feats * n_thresh
+    per_fit = max(1, _FIT_ROWS // (2 * Q))
+    least = config.min_samples_per_leaf
+    idxs = [rows[bootstrap_indices(config, rows.size, rng)] for rng in rngs]
+    keys = [int(rng.integers(1 << 64, dtype=np.uint64)) for rng in rngs]
+    stats = tuple(map(np.concatenate, zip(*map(criterion.node_stats, idxs))))
+    payloads, totals, feasible = criterion.fit_batch(stats)
+    if not feasible.all():
+        raise ValueError("node has no visible landmark instances")
+    counters = [{"nodes": 0, "depth": 0} for _ in rngs]
+    roots = [Split(None, 0.0, None, None) for _ in rngs]  # a stand-in parent per tree
+    weights = criterion.weight(stats)
+    # a frontier node: (tree, samples, weight, payload, total cost, parent, side)
+    frontier = [(t, idx, weights[t], payloads[t], totals[t], roots[t], "left")
+                for t, idx in enumerate(idxs)]
+    for depth in range(config.max_depth + 1):
+        ready = []
+        for node in frontier:
+            t, idx, _, payload, _, parent, side = node
+            counters[t]["nodes"] += 1
+            counters[t]["depth"] = depth
+            if depth < config.max_depth and idx.size >= 2 * least:
+                ready.append(node)
+            else:
+                setattr(parent, side, Leaf(rating=payload, sample_count=idx.size))
+        frontier = []
+        if not ready:
+            break
+        counts = np.bincount([node[0] for node in ready], minlength=len(keys))
+        draws = [(np.random.default_rng(derive_seed(keys[t], "depth", depth)), counts[t])
+                 for t in np.flatnonzero(counts)]
+        feats = np.concatenate([np.argsort(rng.random((n, F)), axis=1, kind="stable")
+                                [:, :n_feats] for rng, n in draws])
+        unit = np.concatenate([rng.random((n, n_feats, n_thresh)) for rng, n in draws])
+        for g in range(0, len(ready), per_fit):
+            group = ready[g:g + per_fit]
+            # a node's candidate features as rows (n_feats, samples), gathered
+            # node by node: a whole group's gather raised the pool workers' peak
+            vals = [features[node[1][None, :], f[:, None]]
+                    for node, f in zip(group, feats[g:g + per_fit])]
+            lo = np.array([v.min(axis=1) for v in vals])
+            hi = np.array([v.max(axis=1) for v in vals])
+            taus = lo[:, :, None] + unit[g:g + per_fit] * (hi - lo)[:, :, None]
+            masks = [(v[:, None, :] <= tau[:, :, None]).reshape(Q, -1)
+                     for v, tau in zip(vals, taus)]
+            del vals
+            lefts = np.array([mask.sum(axis=1) for mask in masks])
+            # A partition is a (node, feature slot, left count); its candidates
+            # point at the first of them, the one kept.  Pairwise, not by a
+            # sort: the sort code alone raised the pool workers' peak.
+            slot = lefts.reshape(-1, n_thresh)
+            first = np.argmax(slot[:, :, None] == slot[:, None, :], axis=2)
+            first = (first + np.arange(0, lefts.size, n_thresh)[:, None]).ravel()
+            keep = first == np.arange(lefts.size)
+            inverse = (np.cumsum(keep) - 1)[first]  # the partition's row among kept ones
+            keep = keep.reshape(-1, Q)
+            bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+            stats = tuple(map(np.concatenate, zip(*(
+                criterion.mask_stats(node[1], mask[kept])
+                for node, mask, kept in zip(group, masks, keep)))))
+            payloads, totals, feasible = criterion.fit_batch(stats)
+            weights = criterion.weight(stats)
+            # node i's unique candidate u has its left row at u + bounds[i],
+            # its right row at u + bounds[i + 1]
+            left = inverse.reshape(-1, Q) + bounds[:-1, None]
+            right = inverse.reshape(-1, Q) + bounds[1:, None]
+            fit = np.array([[node[2], node[4]] for node in group])  # weight, total cost
+            with np.errstate(invalid="ignore"):
+                gains = np.where(feasible[left] & feasible[right],
+                                 (fit[:, 1:] - totals[left] - totals[right]) / fit[:, :1],
+                                 -np.inf)
+            best = np.argmax(gains, axis=1)
+            for i, node in enumerate(group):
+                t, idx, _, payload, _, up, side = node
+                b = best[i]
+                if not (gains[i, b] > config.min_gain
+                        and least <= lefts[i, b] <= idx.size - least):
+                    setattr(up, side, Leaf(rating=payload, sample_count=idx.size))
+                    continue
+                f_pos, t_pos = divmod(b, n_thresh)
+                params = SplitParams(int(feats[g + i, f_pos]), float(taus[i, f_pos, t_pos]))
+                split = Split(params, float(gains[i, b]), None, None)
+                setattr(up, side, split)
+                go = masks[i][b]
+                for part, row, child in ((idx[go], left[i, b], "left"),
+                                         (idx[~go], right[i, b], "right")):
+                    frontier.append((t, part, weights[row], payloads[row].copy(),
+                                     totals[row], split, child))
+    elapsed = time.perf_counter() - start
+    return [(root.left, dict(c, elapsed=elapsed)) for root, c in zip(roots, counters)]
+
+
+def _grow_tree(criterion, features, config, rows, trees):
+    """Grow trees `trees` of one forest over sample rows `rows` by
+    `_grow_levels`, tree t from the Generator seeded
+    derive_seed(config.rng_seed, "tree", t).  Returns [(root, counters)]."""
+    return _grow_levels(criterion, features, config, rows, [
+        np.random.default_rng(derive_seed(config.rng_seed, "tree", t)) for t in trees])
+
+
+def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
+    """Train a single recommendation tree on the dataset, drawing from the
+    numpy Generator `rng` as `_grow_levels` does.
+
+    Tree t of `train_forest` is this tree for the Generator seeded
+    derive_seed(config.rng_seed, "tree", t).
     """
     config.validate()
-    criterion = _RecCriterion(dataset)
-    idx = np.arange(dataset.sample_count, dtype=np.int64)
-    grower = _grow_tree(criterion, dataset.features, idx, config, rng)
-    [(root, _)] = _grow_lockstep(criterion, [grower])
+    rows = np.arange(dataset.sample_count, dtype=np.int64)
+    [(root, _)] = _grow_levels(_RecCriterion(dataset), dataset.features, config,
+                               rows, [rng])
     return root
 
 
@@ -393,25 +408,9 @@ def _share(criteria, features):
         set_threads(1)
 
 
-def _grow_chunk(criterion, features, config, rows, trees):
-    """Grow trees `trees` of one forest, over sample rows `rows`, in lockstep.
-
-    Tree t draws positions into `rows` from derive_seed(config.rng_seed,
-    "tree", t).  Returns ([(root, counters)], elapsed seconds for the chunk).
-    """
-    start = time.perf_counter()
-    growers = []
-    for t in trees:
-        rng = np.random.default_rng(derive_seed(config.rng_seed, "tree", t))
-        idx = rows[bootstrap_indices(config, rows.size, rng)]
-        growers.append(_grow_tree(criterion, features, idx, config, rng))
-    results = _grow_lockstep(criterion, growers)
-    return results, time.perf_counter() - start
-
-
 def _shared_chunk(key, config, rows, trees):
-    """Pool task: `_grow_chunk` on the criterion `key` given to `_share`."""
-    return _grow_chunk(_shared["criteria"][key], _shared["features"], config, rows, trees)
+    """Pool task: `_grow_tree` on the criterion `key` given to `_share`."""
+    return _grow_tree(_shared["criteria"][key], _shared["features"], config, rows, trees)
 
 
 def _grow_forests(criteria, features, forests, workers):
@@ -419,8 +418,8 @@ def _grow_forests(criteria, features, forests, workers):
 
     A forest grows on rows `rows` of `criteria[key]` and `features`, which
     gives the forest trained on those rows alone, bit for bit.  Its trees
-    split into min(workers, tree_count) contiguous chunks, each grown in
-    lockstep; with `workers > 1` every chunk is a task of one pool whose
+    split into min(workers, tree_count) contiguous chunks, each grown by
+    `_grow_tree`; with `workers > 1` every chunk is a task of one pool whose
     workers get the criteria and features once, at start-up.  Results come
     back in forest and tree order, identical for any worker count.
     """
@@ -429,7 +428,7 @@ def _grow_forests(criteria, features, forests, workers):
              for chunk in np.array_split(np.arange(config.tree_count),
                                          max(1, min(workers, config.tree_count)))]
     if len(tasks) == len(forests):  # one chunk per forest: no pool
-        outputs = [_grow_chunk(criteria[key], features, config, rows, trees)
+        outputs = [_grow_tree(criteria[key], features, config, rows, trees)
                    for _, key, config, rows, trees in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
@@ -437,12 +436,12 @@ def _grow_forests(criteria, features, forests, workers):
             futures = [pool.submit(_shared_chunk, *task[1:]) for task in tasks]
             outputs = [future.result() for future in futures]
     trees = [[] for _ in forests]
-    for (f, _, _, _, chunk), (results, elapsed) in zip(tasks, outputs):
+    for (f, _, _, _, chunk), results in zip(tasks, outputs):
         for t, (root, counters) in zip(chunk, results):
             logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
                         counters["nodes"])
             trees[f].append(root)
-        logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], elapsed)
+        logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], counters["elapsed"])
     return trees
 
 
@@ -457,12 +456,12 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
                  workers: int = 1) -> RecForest:
     """Train a recommendation forest.
 
-    Tree t draws its bootstrap multiset and split candidates from the stream
-    seeded by derive_seed(config.rng_seed, "tree", t), in the same order as
-    if grown alone.  The trees of one process grow in lockstep, sharing one
-    simplex solve per step; `workers > 1` opens one pool whose workers get
-    the call's one criterion once and a chunk of trees each.  Forests are
-    reproducible bit for bit regardless of `workers`.
+    Tree t is `train_tree` for the Generator seeded by
+    derive_seed(config.rng_seed, "tree", t).  The trees of one process grow
+    a level at a time, sharing each simplex solve; `workers > 1` opens one
+    pool whose workers get the call's one criterion once and a chunk of
+    trees each.  Forests are reproducible bit for bit regardless of
+    `workers`.
     """
     config.validate()
     if not dataset.visible.any():

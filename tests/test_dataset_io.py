@@ -19,6 +19,7 @@ from recforest.data import (
     save_dataset,
     save_metadata,
 )
+from recforest.forest import RecTrainConfig, train_forest
 from recforest.synth import generate, preset_config
 
 
@@ -229,6 +230,19 @@ class TestBlockWriterAndPackingReader:
                 tracemalloc.stop()
         assert peaks[0] <= 12.0, "save_dataset peak %.1f MB" % peaks[0]
         assert peaks[1] <= 22.0, "load_dataset peak %.1f MB" % peaks[1]
+
+    def test_training_peak_memory_at_preset(self, preset_dataset):
+        """Tree growth holds one group of a level's nodes at a time: fitting
+        a whole level at once peaks near 12 MB here, groups of 32 nodes near
+        6.5 MB."""
+        dataset = preset_dataset.subset(np.arange(1280))
+        tracemalloc.start()
+        try:
+            train_forest(dataset, RecTrainConfig(tree_count=5))
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0, "train_forest peak %.2f MB" % peak
 
     def test_load_never_holds_the_file_text(self, tmp_path, preset_dataset):
         """The 7.9 MB file is read `_CHUNK` characters at a time: a reader

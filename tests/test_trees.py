@@ -405,6 +405,72 @@ class TestLockstep:
         assert any(small)
 
 
+def _leaf_count(node):
+    """Training samples under `node`: the sum of its leaves' counts."""
+    if isinstance(node, Split):
+        return _leaf_count(node.left) + _leaf_count(node.right)
+    return node.sample_count
+
+
+class TestLevelGrowth:
+    """Each depth of a tree draws from its own stream, and a node solves
+    each candidate partition once."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_shallow_tree_is_the_deep_tree_cut(self, depth, fraction):
+        ds = random_dataset(np.random.default_rng(31), M=150)
+        config = RecTrainConfig(tree_count=3, max_depth=depth + 3, min_samples_per_leaf=3,
+                                bootstrap_fraction=fraction, rng_seed=11)
+        deep = train_forest(ds, config).trees
+        shallow = train_forest(ds, replace(config, max_depth=depth)).trees
+        cut = 0
+        stack = [(short, full, 0) for short, full in zip(shallow, deep)]
+        while stack:
+            short, full, d = stack.pop()
+            if d == depth:
+                assert isinstance(short, Leaf)
+                assert short.sample_count == _leaf_count(full)
+                cut += isinstance(full, Split)
+            elif isinstance(short, Split):
+                assert isinstance(full, Split)
+                assert (short.params, short.gain) == (full.params, full.gain)
+                stack += [(short.left, full.left, d + 1),
+                          (short.right, full.right, d + 1)]
+            else:
+                assert short == full
+        assert cut  # the deep trees do split below the cut
+
+    def test_no_partition_solved_twice(self, monkeypatch):
+        """A partition may reach `mask_stats` once per feature that makes it:
+        two candidates of one feature with the same left count are one."""
+        from recforest import classforest
+        from recforest import forest as module
+
+        calls = []
+        for criterion in (module._RecCriterion, classforest._ClassCriterion):
+            def recording(self, idx, masks, real=criterion.mask_stats):
+                calls.append((type(self), idx, masks.copy()))
+                return real(self, idx, masks)
+
+            monkeypatch.setattr(criterion, "mask_stats", recording)
+        ds = random_dataset(np.random.default_rng(37), M=150)
+        config = RecTrainConfig(tree_count=2, max_depth=6, min_samples_per_leaf=3,
+                                candidate_threshold_count=20, rng_seed=3)
+        train_forest(ds, config)
+        classforest.train_class_forest(ds, np.arange(150) % ds.model_count, config)
+        assert {kind for kind, _, _ in calls} == {module._RecCriterion,
+                                                 classforest._ClassCriterion}
+        for _, idx, masks in calls:
+            rows, counts = np.unique(masks, axis=0, return_counts=True)
+            vals = ds.features[idx]
+            for row, k in zip(rows[counts > 1], counts[counts > 1]):
+                inside = np.where(row[:, None], vals, -np.inf).max(axis=0)
+                outside = np.where(row[:, None], np.inf, vals).min(axis=0)
+                # the features with a threshold that makes `row`
+                assert (inside < outside).sum() >= k
+
+
 @pytest.mark.parametrize("draw", ["fold", "bootstrap"])
 def test_subset_criterion_is_the_full_criterions_rows(draw):
     """What lets one criterion serve every cross-validation fold."""
