@@ -44,17 +44,23 @@ def rating_vector(values) -> np.ndarray:
     solver); they are clamped to 0.  The sum must be within 1e-9 of 1.
     Returns a fresh float64 array.
     """
-    w = np.asarray(values, dtype=np.float64).copy()
+    w = np.asarray(values, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("rating vector must be a non-empty 1-D array")
+    return _rating_rows(w[None])[0]
+
+
+def _rating_rows(values) -> np.ndarray:
+    """`rating_vector`'s rules for each row of a (K, C) array, in one pass."""
+    w = np.array(values, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("rating vector has non-finite entries")
     if np.any(w < -RATING_ATOL):
         raise ValueError("rating vector entry below -1e-9: %r" % (w.min(),))
     np.clip(w, 0.0, None, out=w)
-    total = w.sum()
-    if abs(total - 1.0) > RATING_ATOL:
-        raise ValueError("rating vector sums to %r, expected 1" % (total,))
+    far = np.abs(w.sum(axis=1) - 1.0) > RATING_ATOL
+    if far.any():
+        raise ValueError("rating vector sums to %r, expected 1" % (w[far][0].sum(),))
     return w
 
 
@@ -309,7 +315,7 @@ def _check_fields(config):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
 
 
 def _is_list_of(is_item, value):
@@ -576,12 +582,12 @@ def load_metadata(path):
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
     yaw, cluster_id = doc.get("yaw"), doc.get("clusterId")
     centers = doc.get("clusterCenters")
-    _require(_is_list_of(_is_number, yaw), "metadata yaw must list numbers")
+    _require(_is_list_of(_is_number, yaw), "metadata yaw must list finite numbers")
     _require(_is_list_of(_is_int, cluster_id),
              "metadata clusterId must list integers")
     _require(len(yaw) == len(cluster_id), "metadata arrays malformed")
     _require(centers is None or _is_list_of(_is_number, centers),
-             "clusterCenters malformed")
+             "metadata cluster_centers must list finite numbers")
     try:
         return (np.asarray(yaw, dtype=np.float64),
                 np.asarray(cluster_id, dtype=np.int64),

@@ -9,8 +9,10 @@ The workhorse is a primal active-set method: starting from the uniform
 vector with every coordinate in the working support, it alternates exact
 equality-constrained solves on the support with feasibility line searches
 that drop blocking coordinates, and grows the support where the reduced
-gradient is negative.  On these tiny dense QPs (C is the pool size,
-typically <= 20) it terminates in a few support changes with a
+gradient is negative.  Its first round, on every row's full support, is
+one bordered system over the whole batch; most rows end there, and only the
+rest are gathered for more rounds.  On these tiny dense QPs (C is the pool
+size, typically <= 20) it terminates in a few support changes with a
 machine-precision optimum.  Rows the active set cannot finish (singular
 subproblems, cycling) fall back to projected gradient with Barzilai-Borwein
 steps.
@@ -104,13 +106,18 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta[:, None], 0.0, None)
 
 
+def _by_row(ufunc, x):
+    """ufunc.reduce of each row of x (K, C), column by column: numpy is slow on short rows."""
+    return ufunc.reduce(x.T.copy(), axis=0)
+
+
 def _kkt_residual(w, grad):
     """Per-row KKT violation for min f(w) on the simplex; 0 at an optimum."""
     supp = w > 1e-12
     lam = np.einsum("ki,ki->k", grad, w)
-    on = np.where(supp, np.abs(grad - lam[:, None]), 0.0).max(axis=1)
-    off = np.where(~supp, np.maximum(lam[:, None] - grad, 0.0), 0.0).max(axis=1)
-    scale = 1.0 + np.abs(grad).max(axis=1)
+    on = _by_row(np.maximum, np.where(supp, np.abs(grad - lam[:, None]), 0.0))
+    off = _by_row(np.maximum, np.where(~supp, np.maximum(lam[:, None] - grad, 0.0), 0.0))
+    scale = 1.0 + _by_row(np.maximum, np.abs(grad))
     return np.maximum(on, off), scale
 
 
@@ -135,8 +142,7 @@ def _eqp_solve(G, h, supp):
     ok = np.ones(K, dtype=bool)
     try:
         sol = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        bad = ~np.isfinite(sol).all(axis=1)
-        ok[bad] = False
+        ok = _by_row(np.logical_and, np.isfinite(sol))
     except np.linalg.LinAlgError:
         sol = np.zeros((K, C + 1))
         for k in range(K):
@@ -149,68 +155,72 @@ def _eqp_solve(G, h, supp):
     return sol[:, :C], sol[:, C], ok
 
 
+def _ratio_step(w, supp, rows, w_eq):
+    """Step rows `rows` of w toward w_eq until a coordinate hits zero; drop it."""
+    wc = w[rows]
+    d = w_eq - wc
+    blocking = (d < 0) & supp[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(blocking, wc / -d, np.inf)
+    j = np.argmin(ratio, axis=1)
+    alpha = ratio[np.arange(rows.size), j]
+    w_new = np.clip(wc + alpha[:, None] * d, 0.0, None)
+    w_new[np.arange(rows.size), j] = 0.0
+    w[rows] = w_new
+    supp[rows, j] = False
+
+
 def _active_set_batch(G, h, tolerance):
     """Primal active-set pass over a batch; rows it cannot certify are
     flagged for the gradient fallback.
 
-    Returns (w, rounds, solved).  Every row's trajectory depends only on its
-    own (G, h), so results are independent of batch composition.
+    Round one has every row on its full support: one bordered system over
+    the whole batch, no gather, and a feasible row is optimal (no coordinate
+    is left to add; a NaN gradient fails, as in later rounds).  Only the
+    rows it leaves go round again.  Returns (w, rounds, solved, grad), grad
+    holding each solved row's gradient from the test that finished it.
+    Every row's trajectory depends only on its own (G, h), so results are
+    independent of batch composition.
     """
     K, C = h.shape
-    w = np.full((K, C), 1.0 / C)
     supp = np.ones((K, C), dtype=bool)
-    rounds = np.zeros(K, dtype=np.int64)
-    solved = np.zeros(K, dtype=bool)
-    failed = np.zeros(K, dtype=bool)
-    max_rounds = 4 * C + 12
+    w_eq, _, ok = _eqp_solve(G, h, supp)
+    feas = ok & (_by_row(np.minimum, w_eq) >= -1e-12)
+    w = np.where(feas[:, None], np.clip(w_eq, 0.0, None), 1.0 / C)
+    grad = 2.0 * (np.einsum("kij,kj->ki", G, w) - h)
+    solved = feas & (np.inf >= -tolerance * (1.0 + _by_row(np.maximum, np.abs(grad))))
+    failed, rounds = ~ok, np.ones(K, dtype=np.int64)
+    _ratio_step(w, supp, np.nonzero(ok & ~feas)[0], w_eq[ok & ~feas])
 
-    active = np.arange(K)
-    for _ in range(max_rounds):
+    active = np.nonzero(~solved & ~failed)[0]
+    for _ in range(4 * C + 11):
         if active.size == 0:
             break
-        Ga, ha = G[active], h[active]
-        wa, sa = w[active], supp[active]
+        Ga, ha, sa = G[active], h[active], supp[active]
         w_eq, nu, ok = _eqp_solve(Ga, ha, sa)
         rounds[active] += 1
-        if not ok.all():
-            failed[active[~ok]] = True
-        feas = w_eq.min(axis=1) >= -1e-12
+        failed[active[~ok]] = True
+        feas = _by_row(np.minimum, w_eq) >= -1e-12
 
         go = ok & feas
         if go.any():
             rows = active[go]
             w_new = np.clip(w_eq[go], 0.0, None)
             w[rows] = w_new
-            grad = 2.0 * (np.einsum("kij,kj->ki", G[rows], w_new) - h[rows])
-            reduced = grad + nu[go][:, None]
-            reduced = np.where(supp[rows], np.inf, reduced)
-            worst = reduced.min(axis=1)
-            scale = 1.0 + np.abs(grad).max(axis=1)
-            optimal = worst >= -tolerance * scale
+            g = 2.0 * (np.einsum("kij,kj->ki", Ga[go], w_new) - ha[go])
+            reduced = np.where(sa[go], np.inf, g + nu[go][:, None])
+            scale = 1.0 + _by_row(np.maximum, np.abs(g))
+            optimal = _by_row(np.minimum, reduced) >= -tolerance * scale
             solved[rows[optimal]] = True
+            grad[rows[optimal]] = g[optimal]
             grow = rows[~optimal]
             if grow.size:
-                j = np.argmin(reduced[~optimal], axis=1)
-                supp[grow, j] = True
+                supp[grow, np.argmin(reduced[~optimal], axis=1)] = True
 
-        shrink = ok & ~feas
-        if shrink.any():
-            rows = active[shrink]
-            we, wc = w_eq[shrink], w[rows]
-            d = we - wc
-            blocking = (d < 0) & supp[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(blocking, wc / -d, np.inf)
-            j = np.argmin(ratio, axis=1)
-            alpha = ratio[np.arange(rows.size), j]
-            w_new = np.clip(wc + alpha[:, None] * d, 0.0, None)
-            w_new[np.arange(rows.size), j] = 0.0
-            w[rows] = w_new
-            supp[rows, j] = False
-
+        _ratio_step(w, supp, active[ok & ~feas], w_eq[ok & ~feas])
         active = np.nonzero(~solved & ~failed)[0]
 
-    return w, rounds, solved
+    return w, rounds, solved, grad
 
 
 def _polish_on_support(G, h, w, f):
@@ -298,23 +308,25 @@ def solve_gram_batch(G, h, tolerance=1e-8, max_iterations=1000):
     """Solve K simplex least-squares problems given their Gram forms.
 
     G: (K, C, C), h: (K, C).  Returns (w, iterations, converged) where each
-    row of w is a simplex vector.  Every row's result depends only on its
-    own data, so batching K problems matches K separate solves bit for bit.
+    row of w is a simplex vector.  Round one solves all K rows at once, and
+    the final KKT test recomputes the gradient only for fallback rows.
+    Every row's result depends only on its own data, so batching K problems
+    matches K separate solves bit for bit.
     """
-    G = np.asarray(G, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    h = np.ascontiguousarray(h, dtype=np.float64)
     K, C = h.shape
     if C == 1:
         return np.ones((K, 1)), np.zeros(K, dtype=np.int64), np.ones(K, dtype=bool)
 
-    w, iterations, solved = _active_set_batch(G, h, tolerance)
+    w, iterations, solved, grad = _active_set_batch(G, h, tolerance)
     if not solved.all():
         rest = np.nonzero(~solved)[0]
         w_rest, it_rest = _pgd_batch(G[rest], h[rest], tolerance, max_iterations)
         w[rest] = w_rest
         iterations[rest] += it_rest
+        grad[rest] = 2.0 * (np.einsum("kij,kj->ki", G[rest], w_rest) - h[rest])
 
-    grad = 2.0 * (np.einsum("kij,kj->ki", G, w) - h)
     resid, scale = _kkt_residual(w, grad)
     return w, iterations, resid <= tolerance * scale
 

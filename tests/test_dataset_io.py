@@ -412,3 +412,22 @@ class TestMetadataSidecar:
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_metadata([0.0, 1.0], [0], tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("yaw", [float("nan"), 0.0, 62.5], "yaw"),
+            ("yaw", [-40.0, float("inf"), 62.5], "yaw"),
+            ("clusterCenters", [float("nan"), 40.0], "cluster_centers"),
+            ("clusterCenters", [-40.0, float("-inf")], "cluster_centers"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, key, value, field):
+        path = tmp_path / "meta.json"
+        save_metadata([-40.0, 0.0, 62.5], [0, 1, 2], path,
+                      cluster_centers=[-40.0, 40.0])
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))  # NaN, Infinity: JSON's extensions
+        with pytest.raises(SchemaError, match=field):
+            load_metadata(path)

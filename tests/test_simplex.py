@@ -212,3 +212,58 @@ class TestBatch:
         assert conv.all()
         for i, p in enumerate(problems):
             np.testing.assert_array_equal(W[i], solve(p).w)
+
+    def test_rows_independent_past_round_one(self, monkeypatch):
+        """Interior optima (round one), vertex optima of rounds 2-5, a rank-2
+        row that goes to the gradient fallback and a singular row (identical
+        candidates, whose system fails): each row's w, iterations and
+        converged flag are the same alone, in the batch and reversed."""
+        from recforest import simplex
+
+        real_fallback = simplex._pgd_batch
+        fallback = []
+
+        def counting(G, h, *args):
+            fallback.append(len(h))
+            return real_fallback(G, h, *args)
+
+        monkeypatch.setattr(simplex, "_pgd_batch", counting)
+
+        def gram(p):
+            G, h, _ = p.gram()
+            return G[None], h[None]
+
+        def rounds(p):
+            fallback.clear()
+            n = int(solve_gram_batch(*gram(p))[1][0])
+            return "fallback" if fallback else n
+
+        rng = np.random.default_rng(19)
+        C = 5
+        x = rng.normal(size=(6, C, 2))
+        problems = [SimplexProblem(np.einsum("rcd,c->rd", x, w), x)
+                    for w in rng.dirichlet(np.ones(C), size=3)]
+        kinds = [2, 2, 3, 3, 4, 4, 5, 5, "fallback"]  # two rows finish in each round
+        found = {kind: [] for kind in kinds}
+        while any(len(found[kind]) < kinds.count(kind) for kind in kinds):
+            R = int(rng.choice([1, 6]))
+            p = SimplexProblem(rng.normal(size=(R, 2)) * 4, rng.normal(size=(R, C, 2)))
+            n = rounds(p)
+            if n in found and len(found[n]) < kinds.count(n):
+                found[n].append(p)
+        problems += [p for kind in dict.fromkeys(kinds) for p in found[kind]]
+        problems.append(SimplexProblem(rng.normal(size=(4, 2)),
+                                       np.repeat(rng.normal(size=(4, 1, 2)), C, axis=1)))
+        assert [rounds(p) for p in problems] == [1, 1, 1] + kinds + ["fallback"]
+        _, _, ok = simplex._eqp_solve(*gram(problems[-1]), np.ones((1, C), dtype=bool))
+        assert not ok[0]
+
+        G = np.concatenate([gram(p)[0] for p in problems])
+        h = np.concatenate([gram(p)[1] for p in problems])
+        alone = [solve_gram_batch(G[k:k + 1], h[k:k + 1]) for k in range(len(problems))]
+        forward = solve_gram_batch(G, h)
+        backward = solve_gram_batch(G[::-1], h[::-1])
+        for k, one in enumerate(alone):
+            for batch, row in ((forward, k), (backward, len(problems) - 1 - k)):
+                for got, want in zip(batch, one):
+                    assert got[row].tobytes() == want[0].tobytes()

@@ -471,6 +471,45 @@ class TestLevelGrowth:
                 assert (inside < outside).sum() >= k
 
 
+class TestFitBatchSize:
+    """How many nodes share a `fit_batch` changes only the speed."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_trees_do_not_depend_on_fit_rows(self, monkeypatch, fraction):
+        from recforest import classforest
+        from recforest import forest as module
+
+        real_fit = module._RecCriterion.fit_batch
+        fits = []
+
+        def counting(self, stats):
+            fits.append(len(stats[-1]))
+            return real_fit(self, stats)
+
+        monkeypatch.setattr(module._RecCriterion, "fit_batch", counting)
+        ds = random_dataset(np.random.default_rng(41), M=300)
+        labels = np.arange(300) % ds.model_count
+        # 2 * Q = 2 * 3 * 50 candidate rows a node: 6 nodes a batch by default
+        config = RecTrainConfig(tree_count=4, max_depth=7, min_samples_per_leaf=3,
+                                candidate_feature_count=3, candidate_threshold_count=50,
+                                bootstrap_fraction=fraction, rng_seed=13)
+
+        def grow():
+            fits.clear()
+            return (train_forest(ds, config).trees,
+                    classforest.train_class_forest(ds, labels, config).trees, len(fits))
+
+        rec, cls, calls = grow()
+        counts = []
+        for rows in (1, 1 << 20):
+            monkeypatch.setattr(module, "_FIT_ROWS", rows)
+            rec_other, cls_other, n = grow()
+            assert rec_other == rec and cls_other == cls
+            counts.append(n)
+        # one node per batch, the default groups and one batch per level
+        assert counts[0] > calls > counts[1]
+
+
 @pytest.mark.parametrize("draw", ["fold", "bootstrap"])
 def test_subset_criterion_is_the_full_criterions_rows(draw):
     """What lets one criterion serve every cross-validation fold."""
