@@ -27,7 +27,9 @@
 # which a recommendation forest ignores; compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
-# --workers 3, so every fold maps its draws onto dataset rows; compare with
+# --workers 3, so every fold maps its draws onto dataset rows; compare of
+# only the noisy-prior and top-vote strategies at --workers 2, so no fold
+# has a recommendation forest; compare with
 # curve files on a 40-sample gen (seed 3) over 40 folds, leave-one-out, the
 # most folds the sample count allows, at --workers 2.
 set -euo pipefail
@@ -110,6 +112,8 @@ json.dump(doc, open(sys.argv[2], "w", newline="\r\n"), indent=1, separators=(","
     cli compare --data "$out/data" --out "$out/compare-bootstrap-w3" \
         --config "$work/compare-bootstrap.json" --workers 3 \
         > "$out/compare-bootstrap-w3.txt"
+    cli compare --data "$out/data" --out "$out/compare-subset" \
+        --strategies noisy-prior,top-vote --workers 2 > "$out/compare-subset.txt"
     cli gen --out "$out/data-loo" --m 40 --seed 3 > "$out/gen-loo.txt"
     cli compare --data "$out/data-loo" --folds 40 --out "$out/compare-loo" \
         --workers 2 > "$out/compare-loo.txt"

@@ -18,8 +18,8 @@ from .forest import (
     _SampleSums,
     _check_inputs,
     _predict_one,
-    _route_payloads,
     _run_tree_tasks,
+    aggregate_rating,
     blend_prediction,
     predict_many,
 )
@@ -136,12 +136,9 @@ def predict_top_vote_many(forest: RecForest, responses, features):
     detection scores on its protocol's visible landmarks and 0 elsewhere.
     """
     responses, features = _check_inputs(forest, responses, features)
-    M = features.shape[0]
     C = forest.protocol.model_count
-    votes = np.zeros((M, C), dtype=np.int64)
-    for root in forest.trees:
-        payloads, _ = _route_payloads(root, features, C)
-        votes[np.arange(M), np.argmax(payloads, axis=1)] += 1
+    votes = np.zeros((features.shape[0], C), dtype=np.int64)
+    aggregate_rating(forest.trees, features, C, votes)
     W = np.eye(C)[np.argmax(votes, axis=1)]  # ties to the smallest index
     return blend_prediction(forest.protocol, responses, features, W, forest.gamma)
 

@@ -16,7 +16,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .classforest import derive_labels, train_class_forest
+from .classforest import derive_labels, predict_posterior_rating_many, predict_top_vote_many, \
+    train_class_forest
 from .data import (
     _BLOCK,
     _atomic_write,
@@ -39,7 +40,6 @@ from .metrics import (
     _holdout_split,
     _report_record,
     _sample_errors,
-    _strategy_outputs,
     curve_lines,
     format_comparison,
     run_comparison,
@@ -211,8 +211,11 @@ def cmd_train(args):
 def _forest_outputs(forest, dataset, selector):
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
-    strategy = "rec-forest" if forest.kind == "recommendation" else selector
-    return _strategy_outputs(strategy, dataset, slice(None), forest)
+    predict = predict_many
+    if forest.kind == "classification":
+        predict = {"top-vote": predict_top_vote_many,
+                   "posterior-rating": predict_posterior_rating_many}[selector]
+    return predict(forest, dataset.responses, dataset.features)
 
 
 class _JsonFloat(float):

@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -421,35 +422,41 @@ def _shared_chunk(key, config, rows, trees):
 
 
 def _grow_forests(criteria, features, forests, workers):
-    """The trees of each forest, a (criterion key, config, rows) triple.
+    """Yield the trees of each forest, a (criterion key, config, rows) triple.
 
     A forest grows on rows `rows` of `criteria[key]` and `features`, which
     gives the forest trained on those rows alone, bit for bit.  Its trees
     split into min(workers, tree_count) contiguous chunks, each grown by
     `_grow_tree`; with `workers > 1` every chunk is a task of one pool whose
-    workers get the criteria and features once, at start-up.  Results come
-    back in forest and tree order, identical for any worker count.
+    workers get the criteria and features once, at start-up; with one chunk
+    per forest no pool starts, and a forest grows when it is asked for.
+    Forests come back in order, each as soon as its chunks are back,
+    identical for any worker count; closing the generator early cancels
+    the pending tasks.
     """
-    tasks = [(f, key, config, rows, chunk.tolist())
-             for f, (key, config, rows) in enumerate(forests)
+    tasks = [(key, config, rows, chunk.tolist())
+             for key, config, rows in forests
              for chunk in np.array_split(np.arange(config.tree_count),
                                          max(1, min(workers, config.tree_count)))]
-    if len(tasks) == len(forests):  # one chunk per forest: no pool
-        outputs = [_grow_tree(criteria[key], features, config, rows, trees)
-                   for _, key, config, rows, trees in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
-                                 initargs=(criteria, features)) as pool:
-            futures = [pool.submit(_shared_chunk, *task[1:]) for task in tasks]
-            outputs = [future.result() for future in futures]
-    trees = [[] for _ in forests]
-    for (f, _, _, _, chunk), results in zip(tasks, outputs):
-        for t, (root, counters) in zip(chunk, results):
-            logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
-                        counters["nodes"])
-            trees[f].append(root)
-        logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], counters["elapsed"])
-    return trees
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
+                               initargs=(criteria, features)) if len(tasks) > len(forests) else None
+    try:
+        results = [pool.submit(_shared_chunk, *task).result if pool else
+                   partial(_grow_tree, criteria[task[0]], features, *task[1:])
+                   for task in tasks]
+        trees = []
+        for (_, config, _, chunk), result in zip(tasks, results):
+            for t, (root, counters) in zip(chunk, result()):
+                logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
+                            counters["nodes"])
+                trees.append(root)
+            logger.info("trees=%d-%d elapsed=%.3fs", chunk[0], chunk[-1], counters["elapsed"])
+            if chunk[-1] == config.tree_count - 1:  # the forest's last chunk
+                yield trees
+                trees = []
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _run_tree_tasks(criterion, features, config, workers):
@@ -501,8 +508,13 @@ def _route_payloads(root, features, dim):
     return payloads, counts
 
 
-def aggregate_rating(trees, features, dim) -> np.ndarray:
-    """Count-weighted average of leaf ratings across trees, per feature row."""
+def aggregate_rating(trees, features, dim, votes=None) -> np.ndarray:
+    """Count-weighted average of leaf ratings across trees, per feature row.
+
+    Each tree routes the rows once.  Given `votes`, an (M, dim) int array,
+    the same pass adds each tree's vote to it: the argmax of the row's leaf
+    rating, ties to the smallest index.
+    """
     M = features.shape[0]
     num = np.zeros((M, dim))
     den = np.zeros(M)
@@ -510,6 +522,8 @@ def aggregate_rating(trees, features, dim) -> np.ndarray:
         payloads, counts = _route_payloads(root, features, dim)
         num += counts[:, None] * payloads
         den += counts
+        if votes is not None:
+            votes[np.arange(M), np.argmax(payloads, axis=1)] += 1
     return num / den[:, None]
 
 
@@ -591,7 +605,7 @@ def accuracy_maximizing_threshold(confidences, labels):
     if not np.isfinite(conf).all():  # NaN is never >= a threshold, yet sorts last
         raise ValueError("confidences must be finite")
     candidates = np.unique(np.concatenate([conf, [0.0, 1.0]]))
-    order = np.argsort(conf, kind="stable")
+    order = np.argsort(conf)  # counts below a block of ties ignore their order
     sorted_conf = conf[order]
     sorted_labels = labels[order]
     pos_prefix = np.concatenate([[0], np.cumsum(sorted_labels)])

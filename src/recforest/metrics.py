@@ -15,15 +15,15 @@ reports byte for byte at any worker count.
 """
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classforest import _ClassCriterion, derive_labels, \
-    predict_posterior_rating_many, predict_top_vote_many
+from .classforest import _ClassCriterion, derive_labels
 from .data import ResponseDataset, _check_fields
 from .forest import RecForest, RecTrainConfig, _grow_forests, _RecCriterion, \
-    accuracy_maximizing_threshold, blend_prediction, predict_many
+    accuracy_maximizing_threshold, aggregate_rating, blend_prediction
 from .seeds import derive_seed
 
 STRATEGIES = (
@@ -90,7 +90,7 @@ def visibility_scores(confidences, flags, visible_truth):
     if total_pos == 0:
         return accuracy, None, np.empty((0, 2))
     scores = 1.0 - conf
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)  # sums at block ends ignore the order of ties
     s_sorted = scores[order]
     cum_pos = np.cumsum(positive[order])
     # operating points: one per distinct score, at the block's last element
@@ -165,24 +165,21 @@ def _holdout_split(indices, fraction, rng):
     return np.sort(shuffled[val_count:]), np.sort(shuffled[:val_count])
 
 
-def _strategy_outputs(strategy, dataset, idx, model, centers=None):
-    """(landmarks, confidences, flags) of one strategy on rows `idx`, an
-    index array or a slice (a slice keeps the arrays views).
-
-    `model` is the strategy's forest, or for a prior baseline the yaw
-    estimate of every sample; that baseline's rating is one-hot on the
-    expert whose cluster center in `centers` is nearest the estimate.
-    """
-    responses, features = dataset.responses[idx], dataset.features[idx]
-    if strategy in ("fixed-frontal", "noisy-prior"):
-        choice = np.argmin(np.abs(model[idx, None] - centers[None, :]), axis=1)
-        W = np.eye(dataset.model_count)[choice]
-        return blend_prediction(dataset.protocol, responses, features, W, 0.0)
-    if strategy == "top-vote":
-        return predict_top_vote_many(model, responses, features)
-    if strategy == "posterior-rating":
-        return predict_posterior_rating_many(model, responses, features)
-    return predict_many(model, responses, features)
+def _forest_ratings(dataset, rows, forests):
+    """{strategy: rating (rows.size, C)} of the forest strategies on rows
+    `rows`.  Each forest is routed once, by `aggregate_rating`, whose pass
+    also tallies the votes that make top-vote's one-hot rating."""
+    C = dataset.model_count
+    ratings = {}
+    for key, forest in forests.items():
+        votes = np.zeros((rows.size, C), dtype=np.int64)
+        rating = aggregate_rating(forest.trees, dataset.features[rows], C, votes)
+        if key == "class":
+            ratings["top-vote"] = np.eye(C)[np.argmax(votes, axis=1)]  # ties to the smallest
+            ratings["posterior-rating"] = rating
+        else:
+            ratings[key] = rating
+    return ratings
 
 
 def _sample_errors(landmarks, dataset, rows):
@@ -222,11 +219,12 @@ def _eval_report(errors, confidences, flags, visible):
 
 
 def _train_folds(dataset, labels, config, workers):
-    """Per fold (test_idx, fit_idx, val_idx, fold training config, forests).
+    """Yield per fold (test_idx, fit_idx, val_idx, fold training config, forests).
 
     `forests` maps "rec-forest" and "class" to the forests the strategies
     need, each the one trained on `dataset.subset(fit_idx)`, bit for bit.
-    One criterion of each kind and one `_grow_forests` call serve all folds.
+    One criterion of each kind and one `_grow_forests` call serve all folds;
+    a fold comes back as soon as its forests are grown.
     """
     fold = fold_assignment(dataset.sample_count, config.fold_count, config.rng_seed)
     criteria = {}
@@ -243,13 +241,11 @@ def _train_folds(dataset, labels, config, workers):
         fold_train = replace(config.train, rng_seed=derive_seed(config.rng_seed, "train", f))
         folds.append((np.nonzero(fold == f)[0], fit_idx, val_idx, fold_train))
         jobs += [(key, fold_train, fit_idx) for key in criteria]
-    trees = iter(_grow_forests(criteria, dataset.features, jobs, workers))
     kinds = {"rec-forest": "recommendation", "class": "classification"}
-    return [
-        split + ({key: RecForest(next(trees), dataset.protocol, kind=kinds[key])
-                  for key in criteria},)
-        for split in folds
-    ]
+    with closing(_grow_forests(criteria, dataset.features, jobs, workers)) as trees:
+        for split in folds:
+            yield split + ({key: RecForest(next(trees), dataset.protocol, kind=kinds[key])
+                            for key in criteria},)
 
 
 def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1):
@@ -261,7 +257,9 @@ def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1)
     single test-fold appearance; `config.fold_count` may be at most the
     sample count (leave-one-out).  One criterion pair and, with
     `workers > 1`, one pool serve every fold; its workers get the criteria
-    once.  Reports are identical at any worker count.
+    once.  A fold is scored as soon as its forests are grown, while the pool
+    grows the rest, and each forest is routed once over the fold's
+    validation and test rows.  Reports are identical at any worker count.
     """
     config.validate()
     M = dataset.sample_count
@@ -284,36 +282,35 @@ def run_comparison(dataset: ResponseDataset, yaw, cluster_id, config, workers=1)
         if centers.shape != (dataset.model_count,):
             raise ValueError("cluster_centers must list one center per model")
 
-    N = dataset.landmark_count
+    N, C = dataset.landmark_count, dataset.model_count
     err = {s: np.full(M, np.nan) for s in config.strategies}
     conf_pool = {s: np.zeros((M, N)) for s in config.strategies}
     flag_pool = {s: np.zeros((M, N), dtype=bool) for s in config.strategies}
 
-    folds = _train_folds(dataset, labels_all, config, workers)
-    for f, (test_idx, _, val_idx, _, forests) in enumerate(folds):
-        # fixed-frontal is the prior baseline with every yaw estimate at 0
-        model = {"fixed-frontal": np.zeros(M), "rec-forest": forests.get("rec-forest"),
-                 "top-vote": forests.get("class"), "posterior-rating": forests.get("class")}
-        if "noisy-prior" in config.strategies:
-            noise_rng = np.random.default_rng(
-                derive_seed(config.rng_seed, "noisy-prior", f)
-            )
-            noise = noise_rng.normal(0.0, config.pose_noise_deg, size=M)
-            model["noisy-prior"] = yaw + noise
-
-        for strat in config.strategies:
-            _, conf_val, _ = _strategy_outputs(
-                strat, dataset, val_idx, model[strat], centers
-            )
-            gamma, _ = accuracy_maximizing_threshold(
-                conf_val.ravel(), dataset.visible[val_idx].ravel()
-            )
-            lm, conf, _ = _strategy_outputs(
-                strat, dataset, test_idx, model[strat], centers
-            )
-            conf_pool[strat][test_idx] = conf
-            flag_pool[strat][test_idx] = conf >= gamma
-            err[strat][test_idx] = _sample_errors(lm, dataset, test_idx)
+    with closing(_train_folds(dataset, labels_all, config, workers)) as folds:
+        for f, (test_idx, _, val_idx, _, forests) in enumerate(folds):
+            # fixed-frontal is the prior baseline with every yaw estimate at 0
+            estimates = {"fixed-frontal": np.zeros(M)}
+            if "noisy-prior" in config.strategies:
+                rng = np.random.default_rng(derive_seed(config.rng_seed, "noisy-prior", f))
+                estimates["noisy-prior"] = yaw + rng.normal(0.0, config.pose_noise_deg, size=M)
+            rows = np.concatenate([val_idx, test_idx])
+            ratings = _forest_ratings(dataset, rows, forests)
+            for strat in config.strategies:
+                if strat in estimates:  # one-hot on the nearest cluster center
+                    choice = np.argmin(np.abs(estimates[strat][rows, None] - centers), axis=1)
+                    ratings[strat] = np.eye(C)[choice]
+                # each part blends on its own, as a call on its rows alone would
+                W_val, W_test = np.split(ratings[strat], [val_idx.size])
+                _, conf_val, _ = blend_prediction(dataset.protocol, dataset.responses[val_idx],
+                                                  dataset.features[val_idx], W_val, 0.0)
+                lm, conf, _ = blend_prediction(dataset.protocol, dataset.responses[test_idx],
+                                               dataset.features[test_idx], W_test, 0.0)
+                gamma, _ = accuracy_maximizing_threshold(conf_val.ravel(),
+                                                         dataset.visible[val_idx].ravel())
+                conf_pool[strat][test_idx] = conf
+                flag_pool[strat][test_idx] = conf >= gamma
+                err[strat][test_idx] = _sample_errors(lm, dataset, test_idx)
 
     return {
         strat: _eval_report(

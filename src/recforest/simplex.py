@@ -121,6 +121,21 @@ def _kkt_residual(w, grad):
     return np.maximum(on, off), scale
 
 
+def _solve_systems(A, b):
+    """np.linalg.solve of each system A[k] x = b[k]; NaN rows for a singular
+    one.  A batch with a singular system splits in halves until it is
+    isolated, each nonsingular part one call; gesv solves each system on its
+    own, so every row's bits match its lone solve."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if A.shape[0] == 1:
+            return np.full(b.shape, np.nan)
+        half = A.shape[0] // 2
+        return np.concatenate([_solve_systems(A[:half], b[:half]),
+                               _solve_systems(A[half:], b[half:])])
+
+
 def _eqp_solve(G, h, supp):
     """Minimize w'Gw - 2h'w s.t. sum(w[supp]) = 1, w[~supp] = 0, per row.
 
@@ -129,30 +144,20 @@ def _eqp_solve(G, h, supp):
     system was solvable.
     """
     K, C = h.shape
-    A = np.zeros((K, C + 1, C + 1))
-    rhs = np.zeros((K, C + 1))
-    A[:, :C, :C] = 2.0 * G
-    A[:, :C, C] = supp
-    A[:, C, :C] = supp
-    rhs[:, :C] = np.where(supp, 2.0 * h, 0.0)
+    A = np.empty((K, C + 1, C + 1))
+    rhs = np.empty((K, C + 1, 1))
+    np.multiply(G, 2.0, out=A[:, :C, :C])
+    A[:, :C, C] = A[:, C, :C] = supp
+    A[:, C, C] = 0.0
+    np.multiply(h, 2.0, out=rhs[:, :C, 0])
     rhs[:, C] = 1.0
-    k_idx, i_idx = np.nonzero(~supp)
-    A[k_idx, i_idx, :] = 0.0
-    A[k_idx, i_idx, i_idx] = 1.0
-    ok = np.ones(K, dtype=bool)
-    try:
-        sol = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        ok = _by_row(np.logical_and, np.isfinite(sol))
-    except np.linalg.LinAlgError:
-        sol = np.zeros((K, C + 1))
-        for k in range(K):
-            try:
-                sol[k] = np.linalg.solve(A[k], rhs[k][:, None])[:, 0]
-                if not np.isfinite(sol[k]).all():
-                    ok[k] = False
-            except np.linalg.LinAlgError:
-                ok[k] = False
-    return sol[:, :C], sol[:, C], ok
+    if not supp.all():  # pin each off-support coordinate to 0
+        k_idx, i_idx = np.nonzero(~supp)
+        rhs[k_idx, i_idx] = 0.0
+        A[k_idx, i_idx, :] = 0.0
+        A[k_idx, i_idx, i_idx] = 1.0
+    sol = _solve_systems(A, rhs)[:, :, 0]
+    return sol[:, :C], sol[:, C], _by_row(np.logical_and, np.isfinite(sol))
 
 
 def _ratio_step(w, supp, rows, w_eq):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from helpers import ced_curve_points, curve_bits, pr_curve_points
 from hypothesis import example, given, settings, strategies as st
 
-from recforest import classforest, forest
+from recforest import classforest, forest, metrics
 from recforest.classforest import derive_labels, train_class_forest
 from recforest.data import ResponseDataset
 from recforest.forest import RecForest, RecTrainConfig, train_forest
@@ -506,7 +507,7 @@ class TestFoldForests:
         train = replace(_tiny_train(), bootstrap_fraction=fraction)
         config = CompareConfig(strategies=("top-vote", "rec-forest"), fold_count=3,
                                rng_seed=2, train=train)
-        folds = _train_folds(ds, labels, config, workers)
+        folds = list(_train_folds(ds, labels, config, workers))
         assert len(folds) == config.fold_count
         for f, (_, fit_idx, _, fold_train, forests) in enumerate(folds):
             assert fold_train == replace(train, rng_seed=derive_seed(2, "train", f))
@@ -546,6 +547,61 @@ class TestFoldForests:
         run_comparison(ds, yaw, cid, config, workers=2)
         assert len(pools) == 1
         assert sorted(builds) == ["_ClassCriterion", "_RecCriterion"]
+
+    def test_one_routing_per_forest_per_fold(self, monkeypatch):
+        """Each fold routes each tree once, over its validation and test rows
+        together, for every strategy that tree serves."""
+        routed = []
+        real_route = forest._route_payloads
+
+        def counting(root, features, dim):
+            routed.append(root)
+            return real_route(root, features, dim)
+
+        monkeypatch.setattr(forest, "_route_payloads", counting)
+        ds, yaw, cid = self._inputs()
+        config = CompareConfig(fold_count=3, cluster_centers=(-40.0, 40.0),
+                               rng_seed=2, train=_tiny_train())
+        run_comparison(ds, yaw, cid, config)
+        assert len(routed) == config.fold_count * 2 * config.train.tree_count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_folds_scored_while_later_forests_grow(self, monkeypatch, workers):
+        """The first fold is scored before the last forest arrives."""
+        events = []
+
+        def received(*args, **kwargs):
+            events.append("forest")
+            return RecForest(*args, **kwargs)
+
+        def scored(*args):
+            events.append("score")
+            return real_errors(*args)
+
+        real_errors = metrics._sample_errors
+        monkeypatch.setattr(metrics, "RecForest", received)
+        monkeypatch.setattr(metrics, "_sample_errors", scored)
+        ds, yaw, cid = self._inputs()
+        config = CompareConfig(fold_count=3, cluster_centers=(-40.0, 40.0),
+                               rng_seed=2, train=_tiny_train())
+        run_comparison(ds, yaw, cid, config, workers=workers)
+        assert events.count("forest") == 2 * config.fold_count
+        last_forest = len(events) - 1 - events[::-1].index("forest")
+        assert events.index("score") < last_forest
+
+    def test_scoring_failure_stops_the_pool(self, monkeypatch):
+        """A fold 0 scoring error leaves `run_comparison` as it is, and the
+        pool, still growing later folds, is shut down."""
+        def failing(*args):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(metrics, "_sample_errors", failing)
+        ds, yaw, cid = self._inputs()
+        config = CompareConfig(fold_count=3, cluster_centers=(-40.0, 40.0),
+                               rng_seed=2, train=_tiny_train())
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            run_comparison(ds, yaw, cid, config, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestCompareConfigValidation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recforest.classforest import (
     derive_labels,
@@ -131,6 +132,30 @@ class TestAggregateProperties:
         np.testing.assert_allclose(
             confidence, np.clip(raw_conf / total[:, None], 0.0, 1.0), atol=1e-12
         )
+
+
+@pytest.fixture(scope="module")
+def trained_forests():
+    return {kind: _trained(kind) for kind in ("rec", "class")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["rec", "class"]),
+       a=st.lists(st.integers(0, 19), min_size=1, max_size=12),
+       b=st.lists(st.integers(0, 19), min_size=1, max_size=12))
+def test_rows_of_a_union_predict_as_apart(trained_forests, kind, a, b):
+    """Every batch predictor gives rows A and B, predicted together, the
+    bytes it gives each apart: routing a fold's rows at once rests on it."""
+    ds, forest = trained_forests[kind]
+    predictors = [predict_many]
+    if kind == "class":
+        predictors += [predict_top_vote_many, predict_posterior_rating_many]
+    for predictor in predictors:
+        both = predictor(forest, ds.responses[a + b], ds.features[a + b])
+        apart = [predictor(forest, ds.responses[rows], ds.features[rows]) for rows in (a, b)]
+        for got, (part_a, part_b) in zip(both, zip(*apart)):
+            assert got[:len(a)].tobytes() == part_a.tobytes()
+            assert got[len(a):].tobytes() == part_b.tobytes()
 
 
 def _leaf_of(node, features):

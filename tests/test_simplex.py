@@ -267,3 +267,35 @@ class TestBatch:
             for batch, row in ((forward, k), (backward, len(problems) - 1 - k)):
                 for got, want in zip(batch, one):
                     assert got[row].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("full_support", [True, False])
+    def test_singular_row_isolated_by_halving(self, monkeypatch, full_support):
+        """One singular bordered system in a 1,024-row batch costs O(log K)
+        solve calls, not one per row, and every row's (w, nu, ok) is bit for
+        bit its lone solve."""
+        from recforest import simplex
+
+        rng = np.random.default_rng(41)
+        K, C, R = 1024, 5, 12
+        x = rng.normal(size=(K, R, C))
+        x[300, :, 1] = x[300, :, 0]  # identical candidates: a singular system
+        G = np.einsum("krc,kre->kce", x, x)
+        h = np.einsum("krc,kr->kc", x, rng.normal(size=(K, R)))
+        supp = np.ones((K, C), dtype=bool) if full_support else rng.random((K, C)) < 0.7
+        supp[:, :2] = True  # the singular row keeps both copies on its support
+
+        real_solve = np.linalg.solve
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        batch = simplex._eqp_solve(G, h, supp)
+        assert len(calls) <= 2 * int(np.log2(K)) + 1
+        assert not batch[2][300] and batch[2].sum() == K - 1
+        for k in range(K):
+            alone = simplex._eqp_solve(G[k:k + 1], h[k:k + 1], supp[k:k + 1])
+            for got, want in zip(batch, alone):
+                assert got[k:k + 1].tobytes() == want.tobytes()
