@@ -16,11 +16,13 @@
 # (seed 4) with a --config file that sets a float, a boolean and a tuple
 # field (in_noise, in_cluster_only, cluster_centers); train rec and class at
 # --workers 1 and 2; train rec with a --config file that sets min_gain and
-# bootstrap_fraction; predict with the rec forest and with the class forest
-# under both selectors; eval of the same three in records (with --out) and
-# table formats; predict and eval (records) with the rec forest on the M=400
-# dataset file re-written in a layout `save_dataset` never writes (indented,
-# top-level keys reversed so the samples come before the header); predict
+# bootstrap_fraction; train rec with --val 0.35, and with a --config file
+# that sets "val": 0.3, so the held-out fraction is read from both; predict
+# with the rec forest and with the class forest under both selectors; eval
+# of the same three in records (with --out) and table formats; predict and
+# eval (records) with the rec forest on the M=400 dataset file re-written in
+# a layout `save_dataset` never writes (indented, top-level keys reversed so
+# the samples come before the header); predict
 # and eval (records) with the rec forest on the M=400 dataset file re-written
 # with `separators=(",", ":")`, one value a line and \r\n line breaks; predict
 # and eval (records) with the rec forest under --selector posterior-rating,
@@ -48,6 +50,7 @@ echo '{"train": {"bootstrap_fraction": 0.6, "tree_count": 4}, "fold_count": 3}' 
 echo '{"in_noise": 0.03, "in_cluster_only": true, "cluster_centers": [-40, 0.0, 40.5]}' \
     > "$work/gen-config.json"
 echo '{"min_gain": 1e-6, "bootstrap_fraction": 0.7}' > "$work/train-config.json"
+echo '{"val": 0.3}' > "$work/train-val.json"
 
 run_all() {  # run_all SRC_DIR OUT_DIR
     local src=$1 out=$2 w sel
@@ -67,6 +70,10 @@ run_all() {  # run_all SRC_DIR OUT_DIR
     done
     cli train --data "$out/data" --out "$out/rec-config.json" \
         --config "$work/train-config.json" > "$out/train-rec-config.txt"
+    cli train --data "$out/data" --out "$out/rec-val-flag.json" \
+        --val 0.35 > "$out/train-rec-val-flag.txt"
+    cli train --data "$out/data" --out "$out/rec-val-config.json" \
+        --config "$work/train-val.json" > "$out/train-rec-val-config.txt"
     cli predict --forest "$out/rec-w1.json" --data "$out/data" \
         --out "$out/predict-rec.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data" \

@@ -9,9 +9,7 @@ that rating into landmark and visibility predictions.
 from .classforest import (
     derive_labels,
     entropy,
-    predict_posterior_rating,
     predict_posterior_rating_many,
-    predict_top_vote,
     predict_top_vote_many,
     train_class_forest,
 )
@@ -39,7 +37,6 @@ from .forest import (
     predict,
     predict_many,
     train_forest,
-    train_tree,
 )
 from .metrics import (
     CompareConfig,
@@ -103,9 +100,7 @@ __all__ = [
     "oracle_solve",
     "predict",
     "predict_many",
-    "predict_posterior_rating",
     "predict_posterior_rating_many",
-    "predict_top_vote",
     "predict_top_vote_many",
     "preset_config",
     "project_to_simplex",
@@ -118,7 +113,6 @@ __all__ = [
     "solve",
     "train_class_forest",
     "train_forest",
-    "train_tree",
     "two_cluster_config",
     "visibility_scores",
 ]

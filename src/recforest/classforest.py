@@ -11,13 +11,12 @@ average leaf posterior.
 
 import numpy as np
 
-from .data import Prediction, ResponseDataset
+from .data import ResponseDataset
 from .forest import (
     RecForest,
     RecTrainConfig,
     _SampleSums,
     _check_inputs,
-    _predict_one,
     _run_tree_tasks,
     aggregate_rating,
     blend_prediction,
@@ -94,16 +93,14 @@ class _ClassCriterion(_SampleSums):
     def _stats(self, counts, n):
         return counts, n
 
-    def weight(self, stats):
-        return stats[1]
-
     def fit_batch(self, stats):
+        """(payloads, total costs, feasible, weights) per row; weight = n."""
         counts, n = stats
         feasible = n >= 1
         n_safe = np.where(feasible, n, 1.0).astype(np.float64)
         payloads = counts / n_safe[:, None]
         totals = np.where(feasible, self._total_entropy(counts, n_safe), np.inf)
-        return payloads, totals, feasible
+        return payloads, totals, feasible, n
 
 
 def train_class_forest(dataset: ResponseDataset, labels,
@@ -143,14 +140,6 @@ def predict_top_vote_many(forest: RecForest, responses, features):
     return blend_prediction(forest.protocol, responses, features, W, forest.gamma)
 
 
-def predict_top_vote(forest: RecForest, responses, features) -> Prediction:
-    return _predict_one(predict_top_vote_many, forest, responses, features)
-
-
 def predict_posterior_rating_many(forest: RecForest, responses, features):
     """Blend with the count-weighted average posterior as the rating."""
     return predict_many(forest, responses, features)
-
-
-def predict_posterior_rating(forest: RecForest, responses, features) -> Prediction:
-    return _predict_one(predict_posterior_rating_many, forest, responses, features)

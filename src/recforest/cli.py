@@ -85,8 +85,8 @@ def _parse_floats(text, label):
 
 
 def _merge_dataclass(cls, label, base, config_doc, args):
-    """`cls` from `base`, overridden by the config file's values and then by
-    the flags given on the command line, and validated."""
+    """`cls` from `base` and its own defaults, overridden by the config file's
+    values and then by the flags given on the command line, and validated."""
     names = [f.name for f in fields(cls)]
     unknown = sorted(set(config_doc) - set(names))
     if unknown:
@@ -153,30 +153,15 @@ def cmd_gen(args):
 # train
 # ---------------------------------------------------------------------------
 
-def _add_train_flags(p):
-    p.add_argument("--trees", type=int, dest="tree_count")
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--min-samples-leaf", type=int, dest="min_samples_per_leaf")
-    p.add_argument("--candidate-features", type=int, dest="candidate_feature_count")
-    p.add_argument("--candidate-thresholds", type=int, dest="candidate_threshold_count")
-    p.add_argument("--min-gain", type=float, dest="min_gain")
-    p.add_argument("--bootstrap", type=float, dest="bootstrap_fraction")
-
-
-def _train_config(args, doc):
-    base = asdict(RecTrainConfig())
-    return _merge_dataclass(RecTrainConfig, "train", base, doc, args)
-
-
 def cmd_train(args):
     workers = _resolve_workers(args.workers)
     doc = _read_config(args.config)
     val_fraction = args.val if args.val is not None else doc.pop("val", 0.2)
     doc.pop("val", None)
-    config = _train_config(args, doc)
-    dataset, meta = _load_data_dir(args.data)
+    config = _merge_dataclass(RecTrainConfig, "train", {}, doc, args)
     if not (_fits(val_fraction, float) and 0.0 < val_fraction < 1.0):
         raise ValueError("--val must be in (0, 1)")
+    dataset, meta = _load_data_dir(args.data)
     rng = np.random.default_rng(derive_seed(config.rng_seed, "val"))
     fit_idx, val_idx = _holdout_split(
         np.arange(dataset.sample_count), val_fraction, rng
@@ -303,7 +288,7 @@ def cmd_compare(args):
     train_doc = doc.pop("train", {})
     if not isinstance(train_doc, dict):
         raise ValueError("config key 'train' must be an object")
-    train_config = _train_config(args, train_doc)
+    train_config = _merge_dataclass(RecTrainConfig, "train", {}, train_doc, args)
 
     if args.strategies is not None:
         args.strategies = tuple(tok.strip() for tok in args.strategies.split(","))
@@ -348,6 +333,23 @@ def build_parser():
         "landmark pools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    growth = argparse.ArgumentParser(add_help=False)  # flags of `train` and `compare`
+    growth.add_argument("--trees", type=int, dest="tree_count")
+    growth.add_argument("--max-depth", type=int, dest="max_depth")
+    growth.add_argument("--min-samples-leaf", type=int, dest="min_samples_per_leaf")
+    growth.add_argument("--candidate-features", type=int, dest="candidate_feature_count")
+    growth.add_argument("--candidate-thresholds", type=int, dest="candidate_threshold_count")
+    growth.add_argument("--min-gain", type=float, dest="min_gain")
+    growth.add_argument("--bootstrap", type=float, dest="bootstrap_fraction")
+    growth.add_argument("--seed", type=int, dest="rng_seed")
+    growth.add_argument("--workers", type=int, default=None)
+    growth.add_argument("--verbose", action="store_true")
+    scoring = argparse.ArgumentParser(add_help=False)  # flags of `predict` and `eval`
+    scoring.add_argument("--forest", required=True)
+    scoring.add_argument("--data", required=True)
+    scoring.add_argument("--selector", choices=("top-vote", "posterior-rating"),
+                         default="top-vote",
+                         help="prediction rule for classification forests")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--preset", default="aflw-like-5view", choices=sorted(PRESETS))
@@ -369,39 +371,27 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train a forest and calibrate gamma")
+    p = sub.add_parser("train", parents=[growth],
+                       help="train a forest and calibrate gamma")
     p.add_argument("--data", required=True, help="directory from `gen`")
     p.add_argument("--out", required=True, help="forest file to write")
     p.add_argument("--method", choices=("rec", "class"), default="rec")
     p.add_argument("--val", type=float, default=None,
                    help="fraction held out for gamma calibration (default 0.2)")
     p.add_argument("--config", help="JSON file with training fields")
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, dest="rng_seed")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="write per-sample predictions")
-    p.add_argument("--forest", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("predict", parents=[scoring], help="write per-sample predictions")
     p.add_argument("--out", required=True, help="record file to write")
-    p.add_argument("--selector", choices=("top-vote", "posterior-rating"),
-                   default="top-vote",
-                   help="prediction rule for classification forests")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="score a forest against ground truth")
-    p.add_argument("--forest", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--selector", choices=("top-vote", "posterior-rating"),
-                   default="top-vote",
-                   help="prediction rule for classification forests")
+    p = sub.add_parser("eval", parents=[scoring], help="score a forest against ground truth")
     p.add_argument("--format", choices=("table", "records"), default="table")
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="cross-validated strategy comparison")
+    p = sub.add_parser("compare", parents=[growth],
+                       help="cross-validated strategy comparison")
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="directory for report and curve files")
     p.add_argument("--strategies", help="comma list, default all five")
@@ -411,11 +401,7 @@ def build_parser():
     p.add_argument("--centers", dest="cluster_centers",
                    help="override cluster centers for the prior baselines")
     p.add_argument("--config", help="JSON file with comparison fields")
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, dest="rng_seed")
     p.add_argument("--format", choices=("table", "records"), default="table")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -559,17 +559,24 @@ def load_dataset(path) -> ResponseDataset:
 # ---------------------------------------------------------------------------
 
 def save_metadata(yaw, cluster_id, path, cluster_centers=None):
+    """Write what `load_metadata` reads, or raise `ValueError` naming the field."""
     yaw = np.asarray(yaw, dtype=np.float64)
-    cluster_id = np.asarray(cluster_id, dtype=np.int64)
+    cluster_id = np.asarray(cluster_id)
     if yaw.shape != cluster_id.shape or yaw.ndim != 1:
         raise ValueError("yaw and cluster_id must be matching 1-D arrays")
+    if cluster_id.size and cluster_id.dtype.kind not in "iu":
+        raise ValueError("cluster_id must be integers, not %s" % cluster_id.dtype)
+    centers = None if cluster_centers is None else np.asarray(cluster_centers, dtype=np.float64)
+    for name, values in (("yaw", yaw), ("cluster_centers", centers)):
+        if values is not None and not (values.ndim == 1 and np.isfinite(values).all()):
+            raise ValueError("%s must list finite numbers" % name)
     doc = {
         "formatVersion": DATASET_FORMAT_VERSION,
         "yaw": yaw.tolist(),
-        "clusterId": cluster_id.tolist(),
+        "clusterId": cluster_id.astype(np.int64).tolist(),
     }
-    if cluster_centers is not None:
-        doc["clusterCenters"] = [float(c) for c in cluster_centers]
+    if centers is not None:
+        doc["clusterCenters"] = centers.tolist()
     _atomic_write(path, [json.dumps(doc)])
 
 

@@ -190,21 +190,9 @@ class _RecCriterion(_SampleSums):
         return (sums[:, :C * C].reshape(-1, C, C), sums[:, C * C:C * C + C],
                 sums[:, -2], sums[:, -1], n)
 
-    def weight(self, stats):
-        return stats[3]
-
-    def _solve(self, G, h):
-        """Ratings for a Gram batch; an unconverged row keeps its best iterate."""
-        W, _, converged = solve_gram_batch(G, h)
-        if not converged.all():
-            logger.warning(
-                "simplex solver did not converge on %d of %d rows; "
-                "using the best iterate", int((~converged).sum()), converged.size,
-            )
-        return W
-
     def fit_batch(self, stats):
-        """(payloads, total costs, feasible) per row; total = mean cost * weight."""
+        """(payloads, total costs, feasible, weights) per row; weight = inst,
+        total = mean cost * weight; an unconverged row keeps its best iterate."""
         G, h, sq, inst, n = stats
         Q = n.shape[0]
         feasible = (n >= 1) & (inst >= 1)
@@ -212,7 +200,12 @@ class _RecCriterion(_SampleSums):
         totals = np.full(Q, np.inf)
         if feasible.any():
             G, h = G[feasible], h[feasible]
-            W = self._solve(G, h)
+            W, _, converged = solve_gram_batch(G, h)
+            if not converged.all():
+                logger.warning(
+                    "simplex solver did not converge on %d of %d rows; "
+                    "using the best iterate", int((~converged).sum()), converged.size,
+                )
             Gw = np.einsum("kij,kj->ki", G, W)
             totals[feasible] = (
                 np.einsum("ki,ki->k", W, Gw)
@@ -220,7 +213,7 @@ class _RecCriterion(_SampleSums):
                 + sq[feasible]
             )
             payloads[feasible] = W
-        return payloads, totals, feasible
+        return payloads, totals, feasible, inst
 
 
 def bootstrap_indices(config: RecTrainConfig, sample_count: int, rng):
@@ -274,13 +267,12 @@ def _grow_levels(criterion, features, config, rows, rngs):
     idxs = [rows[bootstrap_indices(config, rows.size, rng)] for rng in rngs]
     keys = [int(rng.integers(1 << 64, dtype=np.uint64)) for rng in rngs]
     stats = tuple(map(np.concatenate, zip(*map(criterion.node_stats, idxs))))
-    payloads, totals, feasible = criterion.fit_batch(stats)
+    payloads, totals, feasible, weights = criterion.fit_batch(stats)
     if not feasible.all():
         raise ValueError("node has no visible landmark instances")
     counters = [{"nodes": 0, "depth": 0} for _ in rngs]
     roots = [Split(None, 0.0, None, None) for _ in rngs]  # a stand-in parent per tree
     leaves = []  # (parent, side, payload, samples), checked together at the end
-    weights = criterion.weight(stats)
     # a frontier node: (tree, samples, weight, payload, total cost, parent, side)
     frontier = [(t, idx, weights[t], payloads[t], totals[t], roots[t], "left")
                 for t, idx in enumerate(idxs)]
@@ -329,8 +321,7 @@ def _grow_levels(criterion, features, config, rows, rngs):
             stats = tuple(map(np.concatenate, zip(*(
                 criterion.mask_stats(node[1], mask[kept])
                 for node, mask, kept in zip(group, masks, keep)))))
-            payloads, totals, feasible = criterion.fit_batch(stats)
-            weights = criterion.weight(stats)
+            payloads, totals, feasible, weights = criterion.fit_batch(stats)
             # node i's unique candidate u has its left row at u + bounds[i],
             # its right row at u + bounds[i + 1]
             left = inverse.reshape(-1, Q) + bounds[:-1, None]
@@ -371,20 +362,6 @@ def _grow_tree(criterion, features, config, rows, trees):
     derive_seed(config.rng_seed, "tree", t).  Returns [(root, counters)]."""
     return _grow_levels(criterion, features, config, rows, [
         np.random.default_rng(derive_seed(config.rng_seed, "tree", t)) for t in trees])
-
-
-def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
-    """Train a single recommendation tree on the dataset, drawing from the
-    numpy Generator `rng` as `_grow_levels` does.
-
-    Tree t of `train_forest` is this tree for the Generator seeded
-    derive_seed(config.rng_seed, "tree", t).
-    """
-    config.validate()
-    rows = np.arange(dataset.sample_count, dtype=np.int64)
-    [(root, _)] = _grow_levels(_RecCriterion(dataset), dataset.features, config,
-                               rows, [rng])
-    return root
 
 
 _shared = {}  # a pool worker's criteria and features, set by `_share`
@@ -470,8 +447,8 @@ def train_forest(dataset: ResponseDataset, config: RecTrainConfig,
                  workers: int = 1) -> RecForest:
     """Train a recommendation forest.
 
-    Tree t is `train_tree` for the Generator seeded by
-    derive_seed(config.rng_seed, "tree", t).  The trees of one process grow
+    Tree t is the tree `_grow_levels` grows alone from the Generator seeded
+    by derive_seed(config.rng_seed, "tree", t).  The trees of one process grow
     a level at a time, sharing each simplex solve; `workers > 1` opens one
     pool whose workers get the call's one criterion once and a chunk of
     trees each.  Forests are reproducible bit for bit regardless of
@@ -571,21 +548,12 @@ def predict_many(forest: RecForest, responses, features):
     return blend_prediction(forest.protocol, responses, features, W, forest.gamma)
 
 
-def _predict_one(batch_fn, forest, responses, features) -> Prediction:
-    """One sample, responses (C, N, 2) and features (F,), through `batch_fn`."""
-    landmarks, confidence, flags = batch_fn(
-        forest, np.asarray(responses)[None], np.asarray(features)[None]
-    )
-    return Prediction(
-        landmarks=landmarks[0],
-        visibility_confidence=confidence[0],
-        visibility_flag=flags[0],
-    )
-
-
 def predict(forest: RecForest, responses, features) -> Prediction:
-    """Single-sample inference: responses (C, N, 2), features (F,)."""
-    return _predict_one(predict_many, forest, responses, features)
+    """Single-sample inference: responses (C, N, 2), features (F,), as a
+    one-row `predict_many`."""
+    landmarks, confidence, flags = predict_many(
+        forest, np.asarray(responses)[None], np.asarray(features)[None])
+    return Prediction(landmarks[0], confidence[0], flags[0])
 
 
 # ---------------------------------------------------------------------------

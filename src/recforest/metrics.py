@@ -84,6 +84,8 @@ def visibility_scores(confidences, flags, visible_truth):
         raise ValueError("confidences, flags, and truth must align")
     if conf.size == 0:
         raise ValueError("no scored landmarks")
+    if not np.isfinite(conf).all():  # a NaN would sort last, as the lowest score
+        raise ValueError("confidences must be finite")
     accuracy = float(np.mean(flg == vis))
     positive = ~vis
     total_pos = int(positive.sum())

@@ -18,7 +18,7 @@ from recforest.data import (
     _require,
     rating_vector,
 )
-from recforest.forest import Split, SplitParams
+from recforest.forest import RecTrainConfig, Split, SplitParams, _grow_levels, _RecCriterion
 from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, solve
 from recforest.synth import (
@@ -128,6 +128,15 @@ def evaluate_split(subset, dataset: ResponseDataset, params: SplitParams):
     k_parent = k_left + k_right
     gain = parent_cost - (k_left * cost_left + k_right * cost_right) / k_parent
     return gain, w_left, w_right, left, right
+
+
+def train_tree(dataset: ResponseDataset, config: RecTrainConfig, rng):
+    """One recommendation tree over every sample, grown alone by
+    `_grow_levels` from the numpy Generator `rng`."""
+    config.validate()
+    rows = np.arange(dataset.sample_count, dtype=np.int64)
+    [(root, _)] = _grow_levels(_RecCriterion(dataset), dataset.features, config, rows, [rng])
+    return root
 
 
 def class_mask_stats_direct(criterion, idx, masks):

@@ -11,7 +11,6 @@ from recforest.classforest import (
     derive_labels,
     entropy,
     predict_posterior_rating_many,
-    predict_top_vote,
     predict_top_vote_many,
     train_class_forest,
 )
@@ -353,18 +352,6 @@ class TestTopVote:
         )
         assert np.array_equal(landmarks, [[[0.0, 2.0]]]) and conf[0, 0] == 0.0
         assert not np.signbit(landmarks).any() and not np.signbit(conf).any()
-
-    def test_single_sample_wrapper(self):
-        rng = np.random.default_rng(2)
-        ds = random_dataset(rng, M=4, C=3)
-        forest = train_class_forest(
-            ds, derive_labels(ds), RecTrainConfig(tree_count=2, rng_seed=5)
-        )
-        batch = predict_top_vote_many(forest, ds.responses, ds.features)
-        one = predict_top_vote(forest, ds.responses[1], ds.features[1])
-        assert np.array_equal(one.landmarks, batch[0][1])
-        assert np.array_equal(one.visibility_confidence, batch[1][1])
-        assert np.array_equal(one.visibility_flag, batch[2][1])
 
     def test_shape_validation(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via main(argv)."""
 
+import argparse
 import json
 import os
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recforest.cli import _write_predictions, main
+from recforest.cli import _write_predictions, build_parser, main
 from recforest.data import _BLOCK, load_dataset
 from recforest.forest import predict_many
 from recforest.serialize import load_forest
@@ -206,6 +207,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_val_checked_before_the_data_is_read(self, tmp_path, capsys, source):
+        argv = ["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "f.json")]
+        if source == "flag":
+            argv += ["--val", "2"]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"val": 2}))
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --val must be in (0, 1)\n"
 
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nowhere"),
@@ -574,6 +586,88 @@ class TestWorkersEnv:
                    "--trees", "1"])
         assert rc == 1
         assert "RECFOREST_WORKERS" in capsys.readouterr().err
+
+
+_SEL = ("top-vote", "posterior-rating")
+_FMT = ("table", "records")
+_CLASSIFIER_RULE = "prediction rule for classification forests"
+_GROWTH = [
+    ("--trees", "tree_count", None, int, None, False, None),
+    ("--max-depth", "max_depth", None, int, None, False, None),
+    ("--min-samples-leaf", "min_samples_per_leaf", None, int, None, False, None),
+    ("--candidate-features", "candidate_feature_count", None, int, None, False, None),
+    ("--candidate-thresholds", "candidate_threshold_count", None, int, None, False, None),
+    ("--min-gain", "min_gain", None, float, None, False, None),
+    ("--bootstrap", "bootstrap_fraction", None, float, None, False, None),
+    ("--seed", "rng_seed", None, int, None, False, None),
+    ("--workers", "workers", None, int, None, False, None),
+    ("--verbose", "verbose", False, None, None, False, None),
+]
+# per subcommand: (flag, dest, default, type, choices, required, help)
+FLAGS = {
+    "gen": [
+        ("--preset", "preset", "aflw-like-5view", None, ["aflw-like-5view"], False, None),
+        ("--config", "config", None, None, None, False, "JSON file with generator fields"),
+        ("--m", "sample_count", None, int, None, False, None),
+        ("--n", "landmark_count", None, int, None, False, None),
+        ("--centers", "cluster_centers", None, None, None, False,
+         "comma-separated cluster centers in degrees"),
+        ("--half-width", "cluster_half_width", None, float, None, False, None),
+        ("--yaw-range", "yaw_range", None, None, None, False, "lo,hi in degrees"),
+        ("--in-noise", "in_noise", None, float, None, False, None),
+        ("--out-noise-slope", "out_noise_slope", None, float, None, False, None),
+        ("--score-sharpness", "score_sharpness", None, float, None, False, None),
+        ("--score-noise", "score_noise", None, float, None, False, None),
+        ("--occlusion-rate", "occlusion_rate", None, float, None, False, None),
+        ("--in-cluster-only", "in_cluster_only", None, None, None, False, None),
+        ("--seed", "rng_seed", None, int, None, False, None),
+        ("--out", "out", None, None, None, True, "output directory"),
+    ],
+    "train": _GROWTH + [
+        ("--data", "data", None, None, None, True, "directory from `gen`"),
+        ("--out", "out", None, None, None, True, "forest file to write"),
+        ("--method", "method", "rec", None, ("rec", "class"), False, None),
+        ("--val", "val", None, float, None, False,
+         "fraction held out for gamma calibration (default 0.2)"),
+        ("--config", "config", None, None, None, False, "JSON file with training fields"),
+    ],
+    "predict": [
+        ("--forest", "forest", None, None, None, True, None),
+        ("--data", "data", None, None, None, True, None),
+        ("--out", "out", None, None, None, True, "record file to write"),
+        ("--selector", "selector", "top-vote", None, _SEL, False, _CLASSIFIER_RULE),
+    ],
+    "eval": [
+        ("--forest", "forest", None, None, None, True, None),
+        ("--data", "data", None, None, None, True, None),
+        ("--selector", "selector", "top-vote", None, _SEL, False, _CLASSIFIER_RULE),
+        ("--format", "format", "table", None, _FMT, False, None),
+        ("--out", "out", None, None, None, False, "also write the report to this file"),
+    ],
+    "compare": _GROWTH + [
+        ("--data", "data", None, None, None, True, None),
+        ("--out", "out", None, None, None, False, "directory for report and curve files"),
+        ("--strategies", "strategies", None, None, None, False, "comma list, default all five"),
+        ("--folds", "fold_count", None, int, None, False, None),
+        ("--val", "validation_fraction", None, float, None, False, None),
+        ("--pose-noise", "pose_noise_deg", None, float, None, False, None),
+        ("--centers", "cluster_centers", None, None, None, False,
+         "override cluster centers for the prior baselines"),
+        ("--config", "config", None, None, None, False, "JSON file with comparison fields"),
+        ("--format", "format", "table", None, _FMT, False, None),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    """Each subcommand's options, read from the parser, match the table;
+    only their order in `--help` may change."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(FLAGS)
+    for name, parser in sub.choices.items():
+        got = [(*a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+               for a in parser._actions if a.dest != "help"]
+        assert sorted(got, key=lambda row: row[0]) == sorted(FLAGS[name], key=lambda row: row[0])
 
 
 class TestUsageErrors:

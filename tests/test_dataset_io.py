@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,33 @@ class TestMetadataSidecar:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             load_metadata(path)
+
+    @pytest.mark.parametrize(
+        "yaw, cluster_id, centers, field",
+        [
+            ([math.nan, 0.0], [0, 1], None, "yaw"),
+            ([0.0, math.inf], [0, 1], None, "yaw"),
+            ([0.0, 1.0], [0, 1], [math.nan, 40.0], "cluster_centers"),
+            ([0.0, 1.0], [0, 1], [-40.0, -math.inf], "cluster_centers"),
+            ([0.0, 1.0], [0, 1], [[-40.0, 40.0]], "cluster_centers"),
+            ([0.0, 1.0], [1.7, True], None, "cluster_id"),
+            ([0.0, 1.0], [True, False], None, "cluster_id"),
+            ([0.0, 1.0], np.array([0.0, 1.0]), None, "cluster_id"),
+        ],
+        ids=["nan-yaw", "inf-yaw", "nan-center", "inf-center", "2-d-centers",
+             "float-id", "bool-ids", "float-array-ids"],
+    )
+    def test_save_writes_only_what_load_reads(self, tmp_path, yaw, cluster_id, centers, field):
+        path = tmp_path / "meta.json"
+        with pytest.raises(ValueError, match=field):
+            save_metadata(yaw, cluster_id, path, cluster_centers=centers)
+        assert not path.exists()
+
+    def test_any_integer_ids_saved(self, tmp_path):
+        path = tmp_path / "meta.json"
+        save_metadata([0.5, 1.5], np.array([2, 0], dtype=np.uint8), path, cluster_centers=(1, 2))
+        yaw, cid, centers = load_metadata(path)
+        assert cid.tolist() == [2, 0] and centers.tolist() == [1.0, 2.0]
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -168,6 +168,11 @@ class TestVisibilityScores:
         _, ap_t, _ = visibility_scores(conf_t, flags, vis)
         assert ap_t == ap
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        with pytest.raises(ValueError, match="confidences must be finite"):
+            visibility_scores([bad, 0.5, 0.2], [False, True, False], [False, True, False])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             visibility_scores([0.5, 0.5], [True], [True, False])

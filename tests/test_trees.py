@@ -19,7 +19,6 @@ from recforest.forest import (
     _RecCriterion,
     bootstrap_indices,
     train_forest,
-    train_tree,
 )
 from recforest.seeds import derive_seed
 from recforest.simplex import SimplexProblem, oracle_solve, solve
@@ -32,6 +31,7 @@ from helpers import (
     random_dataset,
     random_masks,
     subset_rows,
+    train_tree,
 )
 
 
