@@ -26,7 +26,10 @@
 # and eval (records) with the rec forest on the M=400 dataset file re-written
 # with `separators=(",", ":")`, one value a line and \r\n line breaks; predict
 # and eval (records) with the rec forest under --selector posterior-rating,
-# which a recommendation forest ignores; compare
+# which a recommendation forest ignores; predict and eval (records) with the
+# rec forest on the M=400 dataset file re-written with sample 0's responses
+# rounded to JSON integers and one invisible ground-truth pair `null`, so the
+# loader converts those samples from their parsed lists; compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
 # --workers 3, so every fold maps its draws onto dataset rows; compare of
@@ -98,6 +101,20 @@ json.dump(doc, open(sys.argv[2], "w", newline="\r\n"), indent=1, separators=(","
         --out "$out/predict-rec-compact.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data-compact" \
         --format records --out "$out/eval-rec-compact.json" > "$out/eval-rec-compact.txt"
+    mkdir -p "$out/data-unpacked"
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+first = doc["samples"][0]
+first["responses"] = [[[round(v) for v in pair] for pair in rows] for rows in first["responses"]]
+sample = next(s for s in doc["samples"] if len(s["visibilitySet"]) < doc["landmarkCount"])
+hidden = min(set(range(doc["landmarkCount"])) - set(sample["visibilitySet"]))
+sample["groundTruth"][hidden] = [None, None]
+json.dump(doc, open(sys.argv[2], "w"))' \
+        "$out/data/dataset.json" "$out/data-unpacked/dataset.json"
+    cli predict --forest "$out/rec-w1.json" --data "$out/data-unpacked" \
+        --out "$out/predict-rec-unpacked.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data-unpacked" \
+        --format records --out "$out/eval-rec-unpacked.json" > "$out/eval-rec-unpacked.txt"
     cli predict --forest "$out/rec-w1.json" --data "$out/data" \
         --selector posterior-rating --out "$out/predict-rec-selector.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data" \

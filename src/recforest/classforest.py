@@ -11,7 +11,7 @@ average leaf posterior.
 
 import numpy as np
 
-from .data import ResponseDataset
+from .data import ResponseDataset, _fits
 from .forest import (
     RecForest,
     RecTrainConfig,
@@ -26,16 +26,15 @@ from .forest import (
 
 def _check_labels(labels, class_count, noun):
     """`labels` as a 1-D int64 array of class (pool model) indices, each in
-    [0, class_count)."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
+    [0, class_count): integers by `data._fits`'s rule, so not bools."""
+    if np.ndim(labels) != 1:
         raise ValueError("%s must be a 1-D array" % noun)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise ValueError("%s must be integer model indices, not %s" % (noun, labels.dtype))
-    labels = labels.astype(np.int64, copy=False)
+    if not _fits(labels, tuple[int, ...]):
+        raise ValueError("%s must be integer model indices, not bools or other numbers" % noun)
+    labels = np.asarray(labels)  # not int64 if an int is out of its range: rejected below
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError("%s out of range for %d classes" % (noun, class_count))
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def derive_labels(dataset: ResponseDataset, cluster_id=None) -> np.ndarray:

@@ -19,10 +19,10 @@ import numpy as np
 from .classforest import derive_labels, predict_posterior_rating_many, predict_top_vote_many, \
     train_class_forest
 from .data import (
-    _BLOCK,
     _atomic_write,
     _fits,
     _read_json,
+    _write_samples,
     load_dataset,
     load_metadata,
     save_dataset,
@@ -203,48 +203,26 @@ def _forest_outputs(forest, dataset, selector):
     return predict(forest, dataset.responses, dataset.features)
 
 
-class _JsonFloat(float):
-    """A float that `%r` writes as `json.dumps` does, NaN and the
-    infinities included."""
-
-    def __repr__(self):
-        return json.dumps(float(self))
-
-
 def _write_predictions(path, landmarks, confidences, flags):
     """Write the predictions file of `landmarks` (M, N, 2), `confidences`
-    (M, N) and `flags` (M, N) one block of `_BLOCK` samples at a time.
+    (M, N) and `flags` (M, N) through `data._write_samples`.
 
     The text is that of `json.dumps(payload, indent=1) + "\\n"` for the
     payload `{"formatVersion": 1, "sampleCount": M, "samples": [...]}`, one
-    `{"landmarks", "confidences", "flags"}` object per sample.  Each sample
-    fills one text template: floats with `%r`, the shortest repr that `json`
-    also writes, and flags as `true`/`false`."""
+    `{"landmarks", "confidences", "flags"}` object per sample."""
     M, N = flags.shape
+    sample = json.dumps({"landmarks": np.zeros((N, 2)).tolist(), "confidences": [0.0] * N,
+                         "flags": [True] * N}, indent=1).replace("\n", "\n  ")  # a list item
 
-    def lines(item):
-        return ",\n".join([item] * N)
+    def block(rows):
+        floats = np.concatenate([landmarks[rows].reshape(-1, 2 * N), confidences[rows]],
+                                axis=1).tolist()
+        words = np.where(flags[rows], "true", "false").tolist()
+        return [(*f, *w) for f, w in zip(floats, words)]
 
-    template = ('  {\n   "landmarks": [\n%s\n   ],\n   "confidences": [\n%s\n   ],'
-                '\n   "flags": [\n%s\n   ]\n  }'
-                % (lines("    [\n     %r,\n     %r\n    ]"), lines("    %r"),
-                   lines("    %s")))
-
-    def chunks():
-        yield '{\n "formatVersion": 1,\n "sampleCount": %d,\n "samples": [' % M
-        for start in range(0, M, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            numbers = np.concatenate(
-                [landmarks[rows].reshape(-1, 2 * N), confidences[rows]], axis=1)
-            floats = numbers.tolist()
-            if not np.isfinite(numbers).all():
-                floats = [[_JsonFloat(v) for v in row] for row in floats]
-            words = np.where(flags[rows], "true", "false").tolist()
-            yield ",\n" if start else "\n"
-            yield ",\n".join([template % (*f, *w) for f, w in zip(floats, words)])
-        yield "\n ]\n}\n" if M else "]\n}\n"
-
-    _atomic_write(path, chunks())
+    head = '{\n "formatVersion": 1,\n "sampleCount": %d,\n "samples": [' % M
+    _write_samples(path, head + "\n  " if M else head, sample, ",\n  ",
+                   "\n ]\n}\n" if M else "]\n}\n", M, block)
 
 
 def cmd_predict(args):

@@ -25,7 +25,7 @@ import re
 import sys
 import types
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import get_args, get_origin
 
 import numpy as np
@@ -230,7 +230,7 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 DATASET_FORMAT_VERSION = 1
-_BLOCK = 128  # samples per block in `save_dataset` and `synth.generate`
+_BLOCK = 128  # samples per block in `_write_samples` and `synth.generate`
 
 
 def _atomic_write(path, chunks):
@@ -242,38 +242,58 @@ def _atomic_write(path, chunks):
     os.replace(tmp, path)
 
 
-_SAMPLE_KEYS = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")
+def _write_samples(path, head, sample, sep, tail, count, block):
+    """Write the text `head`, `count` samples joined by `sep`, then `tail`,
+    one block of `_BLOCK` samples at a time.  `sample` is the `json.dumps`
+    text of a sample whose values are all 0.0 or true: slots that
+    `block(rows)` fills with one tuple per sample of the slice `rows`.  A
+    0.0 slot takes a list of ints or a float, written as `json.dumps` writes
+    it; a true slot takes the word true or false."""
+    template = sample.replace("0.0", "%r").replace("true", "%s")
+
+    def chunks():
+        yield head
+        for start in range(0, count, _BLOCK):
+            text = sep.join([template % v for v in block(slice(start, start + _BLOCK))])
+            if "nan" in text or "inf" in text:  # no key or true/false word holds either
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield (sep if start else "") + text
+        yield tail
+
+    _atomic_write(path, chunks())
 
 
 def save_dataset(dataset: ResponseDataset, path):
     """Serialize a dataset to a single JSON document.
 
     Floats round-trip exactly (shortest decimal repr); ground truth outside
-    the visible set is written as NaN.  Samples are written `_BLOCK` at a
-    time, with the bytes of one `json.dumps` of the whole document.
+    the visible set is written as NaN.  The bytes are those of one
+    `json.dumps` of the whole document, written `_BLOCK` samples at a time.
     """
-    def blocks():
-        yield json.dumps({
-            "formatVersion": DATASET_FORMAT_VERSION,
-            "sampleCount": dataset.sample_count,
-            "modelCount": dataset.model_count,
-            "landmarkCount": dataset.landmark_count,
-            "featureCount": dataset.feature_count,
-            "masks": dataset.protocol.masks.astype(int).tolist(),
-            "samples": [],
-        })[:-2]  # up to the opening `[` of the samples
-        for start in range(0, dataset.sample_count, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            vis = dataset.visible[rows]
-            gt = np.where(vis[..., None], dataset.ground_truth[rows], np.nan)
-            columns = zip(dataset.responses[rows].tolist(), gt.tolist(),
-                          [np.flatnonzero(row).tolist() for row in vis],
-                          dataset.features[rows].tolist(), dataset.normalizer[rows].tolist())
-            text = json.dumps([dict(zip(_SAMPLE_KEYS, v)) for v in columns])
-            yield (", " if start else "") + text[1:-1]
-        yield "]}"
+    C, N, F = dataset.model_count, dataset.landmark_count, dataset.feature_count
+    sample = json.dumps({"responses": np.zeros((C, N, 2)).tolist(),
+                         "groundTruth": np.zeros((N, 2)).tolist(), "visibilitySet": 0.0,
+                         "features": [0.0] * F, "normalizer": 0.0})
 
-    _atomic_write(path, blocks())
+    def block(rows):  # the floats before and after each visibility set
+        vis = dataset.visible[rows]
+        gt = np.where(vis[..., None], dataset.ground_truth[rows], np.nan)
+        before = np.concatenate([dataset.responses[rows].reshape(len(vis), -1),
+                                 gt.reshape(len(vis), -1)], axis=1).tolist()
+        after = np.concatenate([dataset.features[rows], dataset.normalizer[rows, None]], axis=1)
+        return [(*b, np.flatnonzero(v).tolist(), *a)
+                for b, v, a in zip(before, vis, after.tolist())]
+
+    head = json.dumps({
+        "formatVersion": DATASET_FORMAT_VERSION,
+        "sampleCount": dataset.sample_count,
+        "modelCount": C,
+        "landmarkCount": N,
+        "featureCount": F,
+        "masks": dataset.protocol.masks.astype(int).tolist(),
+        "samples": [],
+    })[:-2]  # up to the opening `[` of the samples
+    _write_samples(path, head, sample, ", ", "]}", dataset.sample_count, block)
 
 
 def _require(cond, message):
@@ -281,24 +301,26 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
-def _is_int(value):
-    """A JSON integer; `true`/`false` parse as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _fits(value, kind):
     """Whether `value` has the annotated type `kind`: numbers (numpy's too) are
-    not bools, a float is finite, a tuple may be a list or a 1-D array."""
-    if get_origin(kind) is types.UnionType:
-        return any(_fits(value, k) for k in get_args(kind))
-    if get_origin(kind) is tuple:
-        return (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray)
-                and value.ndim == 1) and all(_fits(v, get_args(kind)[0]) for v in value)
-    if kind is int:
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    not bools, a float is finite, a tuple may be a list or a 1-D array.  It is
+    also the rule for JSON scalars: an integer is not `true`/`false`, which
+    parse as bool, a subclass of int."""
+    if kind is int:  # the parser's exact type first
+        return type(value) is int or (isinstance(value, numbers.Integral)
+                                      and not isinstance(value, bool))
+    if kind is float and type(value) in (float, int):  # the parser's exact types first
+        return abs(value) <= sys.float_info.max
     if kind is float:  # compared as a Python number: exact for an int, and no numpy warning
         return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(
             int(value) if isinstance(value, numbers.Integral) else float(value)) <= sys.float_info.max
+    if get_origin(kind) is types.UnionType:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        if isinstance(value, np.ndarray) and value.ndim == 1:
+            value = value.tolist()  # Python scalars of the same kinds, for the paths above
+        item = get_args(kind)[0]
+        return isinstance(value, (tuple, list)) and all(_fits(v, item) for v in value)
     return isinstance(value, kind)
 
 
@@ -312,14 +334,6 @@ def _check_fields(config):
         if not _fits(getattr(config, f.name), f.type):
             raise ValueError("%s must be %s" % (f.name, _TYPE_NAMES.get(f.type) or (
                 f.type if get_origin(f.type) else f.type.__name__)))
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
-
-
-def _is_list_of(is_item, value):
-    return isinstance(value, list) and all(is_item(v) for v in value)
 
 
 _CHUNK = 1 << 20  # characters per read in `_read_json`
@@ -430,9 +444,6 @@ def _read_json(path, what, object_hook=None):
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
 
 
-_JSON_NUMBER_TYPES = {int, float, type(None)}
-
-
 def _float_array(value, shape, what):
     """A parsed JSON array of `shape` as float64.  Type rule: every entry is
     a JSON number or `null` (read as NaN); strings, booleans, objects, ragged
@@ -445,7 +456,7 @@ def _float_array(value, shape, what):
              "%s shape mismatch" % what)
     # The shape matched, so `value` is lists nested regularly down to
     # scalars; numpy also converts "0.5" and true, so check each scalar.
-    _require(_leaf_types(value, arr.ndim) <= _JSON_NUMBER_TYPES,
+    _require(_leaf_types(value, arr.ndim) <= {int, float, type(None)},
              "%s must hold only numbers and nulls" % what)
     return arr.reshape(shape)
 
@@ -488,7 +499,7 @@ def _unpacked(value):
 def _read_protocol(masks) -> ModelProtocol:
     """ModelProtocol from a parsed `masks` value, which must be a regular
     list of lists of the JSON integers 0 and 1."""
-    _require(_is_list_of(lambda row: _is_list_of(_is_int, row), masks)
+    _require(_fits(masks, tuple[tuple[int, ...], ...])
              and {v for row in masks for v in row} <= {0, 1}
              and len({len(row) for row in masks}) <= 1,
              "masks must be a regular list of lists of 0/1 integers")
@@ -506,14 +517,14 @@ def load_dataset(path) -> ResponseDataset:
     """
     doc = _read_json(path, "dataset file", object_hook=_pack_sample)
     _require(isinstance(doc, dict), "dataset document must be an object")
-    _require(_is_int(doc.get("formatVersion"))
+    _require(_fits(doc.get("formatVersion"), int)
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (_unpacked(doc.get("formatVersion")),))
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
     for key in counts + ("masks", "samples"):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
-        _require(_is_int(doc[key]) and doc[key] >= 0,
+        _require(_fits(doc[key], int) and doc[key] >= 0,
                  "%s must be a nonnegative integer: %r" % (key, _unpacked(doc[key])))
     M, C, N, F = (doc[k] for k in counts)
     samples = doc["samples"]
@@ -527,15 +538,20 @@ def load_dataset(path) -> ResponseDataset:
              "sampleCount header disagrees with record count: %d != %d"
              % (M, len(samples)))
 
+    def valid(n):  # a visibility index; one pass checks them all, one assignment sets them
+        return _fits(n, int) and 0 <= n < N
+
+    sets = [rec.get("visibilitySet") if isinstance(rec, dict) else None for rec in samples]
+    ok = [isinstance(vis, list) and all(map(valid, vis)) for vis in sets]
+    if not all(ok):
+        m = ok.index(False)
+        _require(isinstance(samples[m], dict), "sample %d is not an object" % m)
+        _require(isinstance(sets[m], list), "sample %d missing visibilitySet" % m)
+        raise SchemaError("sample %d: visibility index out of range: %r"
+                          % (m, _unpacked(next(filterfalse(valid, sets[m])))))
     visible = np.zeros((M, N), dtype=bool)
-    for m, rec in enumerate(samples):
-        _require(isinstance(rec, dict), "sample %d is not an object" % m)
-        vis = rec.get("visibilitySet")
-        _require(isinstance(vis, list), "sample %d missing visibilitySet" % m)
-        for n in vis:
-            _require(_is_int(n) and 0 <= n < N,
-                     "sample %d: visibility index out of range: %r" % (m, _unpacked(n)))
-        visible[m, vis] = True
+    visible[np.repeat(np.arange(M), [len(vis) for vis in sets]),
+            np.fromiter(chain.from_iterable(sets), np.int64)] = True
 
     def column(key, shape):
         values = [rec.get(key) for rec in samples]
@@ -561,11 +577,13 @@ def load_dataset(path) -> ResponseDataset:
 def save_metadata(yaw, cluster_id, path, cluster_centers=None):
     """Write what `load_metadata` reads, or raise `ValueError` naming the field."""
     yaw = np.asarray(yaw, dtype=np.float64)
-    cluster_id = np.asarray(cluster_id)
-    if yaw.shape != cluster_id.shape or yaw.ndim != 1:
+    if yaw.shape != np.shape(cluster_id) or yaw.ndim != 1:
         raise ValueError("yaw and cluster_id must be matching 1-D arrays")
-    if cluster_id.size and cluster_id.dtype.kind not in "iu":
-        raise ValueError("cluster_id must be integers, not %s" % cluster_id.dtype)
+    if not _fits(cluster_id, tuple[int, ...]):
+        raise ValueError("cluster_id must be integers, not bools or other numbers")
+    cluster_id = np.asarray(cluster_id)  # float or object when an int is out of range
+    if cluster_id.size and (cluster_id.dtype.kind not in "iu" or cluster_id.max() > 2**63 - 1):
+        raise ValueError("cluster_id must fit in int64")
     centers = None if cluster_centers is None else np.asarray(cluster_centers, dtype=np.float64)
     for name, values in (("yaw", yaw), ("cluster_centers", centers)):
         if values is not None and not (values.ndim == 1 and np.isfinite(values).all()):
@@ -584,16 +602,15 @@ def load_metadata(path):
     """Returns (yaw, cluster_id, cluster_centers-or-None) arrays."""
     doc = _read_json(path, "metadata file")
     _require(isinstance(doc, dict), "metadata document must be an object")
-    _require(_is_int(doc.get("formatVersion"))
+    _require(_fits(doc.get("formatVersion"), int)
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
     yaw, cluster_id = doc.get("yaw"), doc.get("clusterId")
     centers = doc.get("clusterCenters")
-    _require(_is_list_of(_is_number, yaw), "metadata yaw must list finite numbers")
-    _require(_is_list_of(_is_int, cluster_id),
-             "metadata clusterId must list integers")
+    _require(_fits(yaw, tuple[float, ...]), "metadata yaw must list finite numbers")
+    _require(_fits(cluster_id, tuple[int, ...]), "metadata clusterId must list integers")
     _require(len(yaw) == len(cluster_id), "metadata arrays malformed")
-    _require(centers is None or _is_list_of(_is_number, centers),
+    _require(_fits(centers, tuple[float, ...] | None),
              "metadata cluster_centers must list finite numbers")
     try:
         return (np.asarray(yaw, dtype=np.float64),

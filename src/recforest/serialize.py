@@ -17,7 +17,6 @@ from .data import (
     _atomic_write,
     _fits,
     _float_array,
-    _is_int,
     _read_json,
     _read_protocol,
     _require,
@@ -51,14 +50,18 @@ def save_forest(forest, path) -> None:
     if not isinstance(forest, RecForest):
         raise TypeError("expected RecForest, got %r" % type(forest))
     key = _KIND_TO_KEY[forest.kind]
-    payload = {
-        "formatVersion": FOREST_FORMAT_VERSION,
-        "kind": forest.kind,
-        "gamma": float(forest.gamma),
-        "masks": forest.protocol.masks.astype(int).tolist(),
-        "trees": [_node_to_obj(t, key) for t in forest.trees],
-    }
-    _atomic_write(path, [json.dumps(payload, indent=1) + "\n"])
+    try:  # both recurse once per tree level
+        payload = {
+            "formatVersion": FOREST_FORMAT_VERSION,
+            "kind": forest.kind,
+            "gamma": float(forest.gamma),
+            "masks": forest.protocol.masks.astype(int).tolist(),
+            "trees": [_node_to_obj(t, key) for t in forest.trees],
+        }
+        text = json.dumps(payload, indent=1) + "\n"
+    except RecursionError:
+        raise ValueError("forest too deep to save: a tree passes the recursion limit") from None
+    _atomic_write(path, [text])
 
 
 def _node_from_obj(obj, rating_key, feature_count, model_count):
@@ -66,7 +69,7 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
     kind = obj.get("type")
     if kind == "split":
         fi = obj.get("featureIndex")
-        _require(_is_int(fi) and 0 <= fi < feature_count,
+        _require(_fits(fi, int) and 0 <= fi < feature_count,
                  "split featureIndex out of range")
         tau = obj.get("threshold")
         _require(_fits(tau, float), "split threshold must be finite")
@@ -82,7 +85,7 @@ def _node_from_obj(obj, rating_key, feature_count, model_count):
     if kind == "leaf":
         vec = _float_array(obj.get(rating_key), (model_count,), "leaf " + rating_key)
         count = obj.get("sampleCount")
-        _require(_is_int(count) and count >= 1,
+        _require(_fits(count, int) and count >= 1,
                  "leaf sampleCount must be a positive integer")
         try:
             return Leaf(rating=vec, sample_count=count)
@@ -96,7 +99,7 @@ def load_forest(path):
     payload = _read_json(path, "forest file")
     _require(isinstance(payload, dict), "forest file must hold an object")
     _require(
-        _is_int(payload.get("formatVersion"))
+        _fits(payload.get("formatVersion"), int)
         and payload["formatVersion"] == FOREST_FORMAT_VERSION,
         "unsupported forest formatVersion",
     )
@@ -112,10 +115,11 @@ def load_forest(path):
     trees_obj = payload.get("trees")
     _require(isinstance(trees_obj, list) and trees_obj, "trees must be a nonempty list")
     key = _KIND_TO_KEY[kind]
-    trees = [
-        _node_from_obj(t, key, protocol.feature_count, protocol.model_count)
-        for t in trees_obj
-    ]
+    try:  # one call per tree level
+        trees = [_node_from_obj(t, key, protocol.feature_count, protocol.model_count)
+                 for t in trees_obj]
+    except RecursionError:
+        raise SchemaError("forest too deep to load: a tree passes the recursion limit") from None
     try:
         return RecForest(trees=trees, protocol=protocol, gamma=float(gamma), kind=kind)
     except ValueError as exc:

@@ -6,14 +6,13 @@ import math
 import numpy as np
 
 from recforest.data import (
-    _SAMPLE_KEYS,
     DATASET_FORMAT_VERSION,
     ModelProtocol,
     ResponseDataset,
     SchemaError,
     _atomic_write,
+    _fits,
     _float_array,
-    _is_int,
     _read_protocol,
     _require,
     rating_vector,
@@ -297,6 +296,9 @@ def read_json_whole(path, what, object_hook=None):
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
 
 
+_SAMPLE_KEYS = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")
+
+
 def save_dataset_whole(dataset: ResponseDataset, path):
     """`data.save_dataset`, building the document as one JSON value."""
     gt = dataset.ground_truth.copy()
@@ -330,14 +332,14 @@ def load_dataset_whole(path) -> ResponseDataset:
     is parsed."""
     doc = read_json_whole(path, "dataset file")
     _require(isinstance(doc, dict), "dataset document must be an object")
-    _require(_is_int(doc.get("formatVersion"))
+    _require(_fits(doc.get("formatVersion"), int)
              and doc["formatVersion"] == DATASET_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
     for key in counts + ("masks", "samples"):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
-        _require(_is_int(doc[key]) and doc[key] >= 0,
+        _require(_fits(doc[key], int) and doc[key] >= 0,
                  "%s must be a nonnegative integer: %r" % (key, doc[key]))
     M, C, N, F = (doc[k] for k in counts)
     samples = doc["samples"]
@@ -357,7 +359,7 @@ def load_dataset_whole(path) -> ResponseDataset:
         vis = rec.get("visibilitySet")
         _require(isinstance(vis, list), "sample %d missing visibilitySet" % m)
         for n in vis:
-            _require(_is_int(n) and 0 <= n < N,
+            _require(_fits(n, int) and 0 <= n < N,
                      "sample %d: visibility index out of range: %r" % (m, n))
         visible[m, vis] = True
 

@@ -70,6 +70,9 @@ class TestEntropy:
         ([True, False], 2),
         (np.array([0, 5]), 3),
         (np.array([-1, 0]), 2),
+        ([0, True, 2], 3),
+        (np.array([0, True, 2], dtype=object), 3),
+        ([0, 2 ** 70], 3),
     ])
     def test_labels_must_be_class_indices(self, labels, class_count):
         with pytest.raises(ValueError, match="^labels (must be integer|out of range)"):
@@ -215,7 +218,8 @@ class TestTraining:
             train_class_forest(ds, np.zeros(5, dtype=np.int64), config)
         with pytest.raises(ValueError):
             train_class_forest(ds, np.full(6, 3, dtype=np.int64), config)
-        for bad in (np.full(6, 0.7), np.zeros(6), np.zeros(6, dtype=bool)):
+        for bad in (np.full(6, 0.7), np.zeros(6), np.zeros(6, dtype=bool),
+                    [0, 1, True, 2, 0, 1], np.array([0, 1, 2, False, 0, 1], dtype=object)):
             with pytest.raises(ValueError, match="labels must be integer model indices"):
                 train_class_forest(ds, bad, config)
             with pytest.raises(ValueError, match="cluster_id must be integer model indices"):

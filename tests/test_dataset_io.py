@@ -134,14 +134,40 @@ class TestDatasetRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 
 
+def _with_edge_values(ds):
+    """`ds` with floats whose text is easy to get wrong (a negative zero,
+    the smallest subnormal, `1e+16`, `1e-05` and a 17-digit sum) in its
+    responses, features and normalizer, in the first and last block, and
+    with ground truth outside the visible set NaN, infinite or finite: it
+    is written as NaN all the same."""
+    special = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+    responses, features = ds.responses.copy(), ds.features.copy()
+    for arr in (responses, features):
+        arr.reshape(-1)[:5] = arr.reshape(-1)[-5:] = special
+    normalizer = ds.normalizer.copy()
+    normalizer[:3] = [5e-324, 1e16, 0.1 + 0.2]
+    ground_truth = ds.ground_truth.copy()
+    hidden = np.argwhere(~ds.visible)
+    ground_truth[tuple(hidden[0])] = [1.5, np.inf]
+    ground_truth[tuple(hidden[-1])] = [-0.0, 0.1 + 0.2]
+    return ResponseDataset(protocol=ds.protocol, responses=responses,
+                           ground_truth=ground_truth, visible=ds.visible,
+                           features=features, normalizer=normalizer)
+
+
+_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
 class TestBlockWriterAndPackingReader:
     """`save_dataset` and `load_dataset` against the whole-document writer
     and reader of `tests/helpers.py`."""
 
-    @pytest.mark.parametrize("M", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                   2 * _BLOCK + 1])
-    def test_bytes_equal_whole_document(self, tmp_path, M):
+    @pytest.mark.parametrize("M, edge", [(M, False) for M in _SIZES] + [(_BLOCK + 2, True)],
+                             ids=[str(M) for M in _SIZES] + ["edge-values"])
+    def test_bytes_equal_whole_document(self, tmp_path, M, edge):
         ds = random_dataset(np.random.default_rng(M), M=M, C=3, N=5)
+        if edge:
+            ds = _with_edge_values(ds)
         save_dataset(ds, tmp_path / "blocks.json")
         save_dataset_whole(ds, tmp_path / "whole.json")
         data = (tmp_path / "blocks.json").read_bytes()
@@ -421,9 +447,14 @@ class TestMetadataSidecar:
             ([0.0, 1.0], [1.7, True], None, "cluster_id"),
             ([0.0, 1.0], [True, False], None, "cluster_id"),
             ([0.0, 1.0], np.array([0.0, 1.0]), None, "cluster_id"),
+            ([0.0, 1.0, 2.0], [0, True, 2], None, "cluster_id"),
+            ([0.0, 1.0], np.array([0, False], dtype=object), None, "cluster_id"),
+            ([0.0, 1.0], [0, 2 ** 63], None, "cluster_id"),
+            ([0.0, 1.0], np.array([0, 2 ** 63], dtype=np.uint64), None, "cluster_id"),
         ],
         ids=["nan-yaw", "inf-yaw", "nan-center", "inf-center", "2-d-centers",
-             "float-id", "bool-ids", "float-array-ids"],
+             "float-id", "bool-ids", "float-array-ids", "bool-among-int-ids",
+             "bool-in-object-array-ids", "int64-overflow-id", "uint64-overflow-id"],
     )
     def test_save_writes_only_what_load_reads(self, tmp_path, yaw, cluster_id, centers, field):
         path = tmp_path / "meta.json"

@@ -1,6 +1,8 @@
 """Forest persistence: round trips, schema validation, atomicity."""
 
 import json
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,8 +12,17 @@ from recforest.classforest import (
     predict_posterior_rating_many,
     train_class_forest,
 )
-from recforest.data import SchemaError
-from recforest.forest import RecTrainConfig, predict_many, train_forest
+from recforest.cli import main
+from recforest.data import ModelProtocol, SchemaError
+from recforest.forest import (
+    Leaf,
+    RecForest,
+    RecTrainConfig,
+    Split,
+    SplitParams,
+    predict_many,
+    train_forest,
+)
 from recforest.serialize import FOREST_FORMAT_VERSION, load_forest, save_forest
 
 from helpers import random_dataset
@@ -191,3 +202,81 @@ class TestSchemaValidation:
         path.write_text("[1, 2, 3]")
         with pytest.raises(SchemaError):
             load_forest(path)
+
+
+_HEADROOM = 200  # frames between the caller and the lowered recursion limit
+_CHAINS = range(_HEADROOM - 60, _HEADROOM + 20)  # splits per tree, across the limit
+
+
+@contextmanager
+def _recursion_headroom():
+    """The recursion limit set `_HEADROOM` frames above the caller's stack,
+    so the chains of `_CHAINS` cross it at any caller depth."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + _HEADROOM)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _chain_text(splits):
+    """A forest file whose one tree is a chain of `splits` splits."""
+    leaf = '{"type": "leaf", "rating": [1.0, 0.0], "sampleCount": 1}'
+    split = '{"type": "split", "featureIndex": 0, "threshold": 0.5, "gain": 0.1, "left": '
+    return ('{"formatVersion": 1, "kind": "recommendation", "gamma": 0.5, '
+            '"masks": [[1, 0], [0, 1]], "trees": [%s]}'
+            % (split * splits + leaf + (', "right": %s}' % leaf) * splits))
+
+
+class TestDeepTrees:
+    """A tree nested past the recursion limit fails with one clean error, on
+    every chain length: the file may parse and then overflow the recursive
+    node conversion, which once escaped as a `RecursionError` traceback."""
+
+    def test_load_raises_schema_error(self, tmp_path):
+        path, outcomes = tmp_path / "deep.json", set()
+        with _recursion_headroom():
+            for splits in _CHAINS:
+                path.write_text(_chain_text(splits))
+                try:
+                    outcomes.add(len(load_forest(path).trees))
+                except SchemaError as exc:
+                    outcomes.add(str(exc).split(":")[0])
+        assert 1 in outcomes and "forest too deep to load" in outcomes
+        assert outcomes <= {1, "forest too deep to load", "unparseable forest file"}
+
+    def test_save_raises_value_error(self, tmp_path):
+        leaf = Leaf(rating=np.array([1.0, 0.0]), sample_count=1)
+        tree, saved, failed = leaf, 0, 0
+        for _ in range(_CHAINS.start):
+            tree = Split(SplitParams(0, 0.5), 0.1, tree, leaf)
+        with _recursion_headroom():
+            for _ in _CHAINS:
+                tree = Split(SplitParams(0, 0.5), 0.1, tree, leaf)
+                forest = RecForest([tree], ModelProtocol([[1, 0], [0, 1]]))
+                try:
+                    save_forest(forest, tmp_path / ("f%d.json" % saved))
+                    saved += 1
+                except ValueError as exc:
+                    assert "forest too deep to save" in str(exc)
+                    failed += 1
+        assert saved and failed
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "f%d.json" % k for k in range(saved)}  # no partial or temporary file
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        path, codes = tmp_path / "deep.json", set()
+        with _recursion_headroom():
+            for splits in _CHAINS:
+                path.write_text(_chain_text(splits))
+                codes.add(main(["predict", "--forest", str(path), "--data",
+                                str(tmp_path / "none"), "--out", str(tmp_path / "p.json")]))
+        assert codes == {1}
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(_CHAINS)
+        assert all(line.startswith("error: ") for line in lines)
+        assert any("forest too deep to load" in line for line in lines)
