@@ -29,7 +29,10 @@
 # which a recommendation forest ignores; predict and eval (records) with the
 # rec forest on the M=400 dataset file re-written with sample 0's responses
 # rounded to JSON integers and one invisible ground-truth pair `null`, so the
-# loader converts those samples from their parsed lists; compare
+# loader converts those samples from their parsed lists; train class at
+# --workers 2 on a copy of the M=400 data directory without metadata.json,
+# so the class labels come from `derive_labels`' fallback and no metadata
+# is read, then predict and eval (records) with that forest; compare
 # with records, curve files and the table at --workers 1 and 2; compare with
 # 4-tree forests on 60% bootstrap draws over 3 folds (a --config file) at
 # --workers 3, so every fold maps its draws onto dataset rows; compare of
@@ -115,6 +118,14 @@ json.dump(doc, open(sys.argv[2], "w"))' \
         --out "$out/predict-rec-unpacked.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data-unpacked" \
         --format records --out "$out/eval-rec-unpacked.json" > "$out/eval-rec-unpacked.txt"
+    mkdir -p "$out/data-nometa"
+    cp "$out/data/dataset.json" "$out/data-nometa/dataset.json"
+    cli train --data "$out/data-nometa" --out "$out/class-nometa.json" \
+        --method class --workers 2 > "$out/train-class-nometa.txt"
+    cli predict --forest "$out/class-nometa.json" --data "$out/data-nometa" \
+        --out "$out/predict-class-nometa.json" > /dev/null
+    cli eval --forest "$out/class-nometa.json" --data "$out/data-nometa" \
+        --format records --out "$out/eval-class-nometa.json" > "$out/eval-class-nometa.txt"
     cli predict --forest "$out/rec-w1.json" --data "$out/data" \
         --selector posterior-rating --out "$out/predict-rec-selector.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data" \

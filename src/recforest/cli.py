@@ -103,15 +103,15 @@ def _merge_dataclass(cls, label, base, config_doc, args):
     return config
 
 
-def _load_data_dir(path, need_metadata=False):
-    dataset = load_dataset(os.path.join(path, DATASET_FILE))
-    meta = None
+def _load_metadata(path, required=False):
+    """The data directory's metadata arrays, read only by the commands that
+    use them; None if the file is absent and not `required`."""
     meta_path = os.path.join(path, METADATA_FILE)
     if os.path.exists(meta_path):
-        meta = load_metadata(meta_path)
-    if need_metadata and meta is None:
+        return load_metadata(meta_path)
+    if required:
         raise ValueError("no %s in %s" % (METADATA_FILE, path))
-    return dataset, meta
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def cmd_train(args):
     config = _merge_dataclass(RecTrainConfig, "train", {}, doc, args)
     if not (_fits(val_fraction, float) and 0.0 < val_fraction < 1.0):
         raise ValueError("--val must be in (0, 1)")
-    dataset, meta = _load_data_dir(args.data)
+    dataset = load_dataset(os.path.join(args.data, DATASET_FILE))
     rng = np.random.default_rng(derive_seed(config.rng_seed, "val"))
     fit_idx, val_idx = _holdout_split(
         np.arange(dataset.sample_count), val_fraction, rng
@@ -170,8 +170,8 @@ def cmd_train(args):
     if args.method == "rec":
         forest = train_forest(fit_ds, config, workers=workers)
     else:
-        cluster_id = meta[1] if meta is not None else None
-        labels = derive_labels(dataset, cluster_id)
+        meta = _load_metadata(args.data)
+        labels = derive_labels(dataset, meta[1] if meta is not None else None)
         forest = train_class_forest(fit_ds, labels[fit_idx], config, workers=workers)
     # a classification forest's posterior-rating output is predict_many's
     _, conf, _ = predict_many(
@@ -227,7 +227,7 @@ def _write_predictions(path, landmarks, confidences, flags):
 
 def cmd_predict(args):
     forest = load_forest(args.forest)
-    dataset, _ = _load_data_dir(args.data)
+    dataset = load_dataset(os.path.join(args.data, DATASET_FILE))
     landmarks, confidences, flags = _forest_outputs(forest, dataset, args.selector)
     _write_predictions(args.out, landmarks, confidences, flags)
     print("wrote %d predictions to %s" % (dataset.sample_count, args.out))
@@ -236,7 +236,7 @@ def cmd_predict(args):
 
 def cmd_eval(args):
     forest = load_forest(args.forest)
-    dataset, _ = _load_data_dir(args.data)
+    dataset = load_dataset(os.path.join(args.data, DATASET_FILE))
     landmarks, confidences, flags = _forest_outputs(forest, dataset, args.selector)
     errors = _sample_errors(landmarks, dataset, range(dataset.sample_count))
     report = _eval_report(errors, confidences, flags, dataset.visible)
@@ -273,8 +273,8 @@ def cmd_compare(args):
     if args.cluster_centers is not None:
         args.cluster_centers = _parse_floats(args.cluster_centers, "--centers")
 
-    dataset, meta = _load_data_dir(args.data, need_metadata=True)
-    yaw, cluster_id, meta_centers = meta
+    dataset = load_dataset(os.path.join(args.data, DATASET_FILE))
+    yaw, cluster_id, meta_centers = _load_metadata(args.data, required=True)
     base = dict(asdict(CompareConfig()), cluster_centers=meta_centers, train=train_config)
     config = _merge_dataclass(CompareConfig, "compare", base, doc, args)
     reports = run_comparison(dataset, yaw, cluster_id, config, workers=workers)

@@ -428,14 +428,17 @@ def _read_json(path, what, object_hook=None):
     never held whole.  `object_hook` gets each object as soon as it is
     parsed, and its result replaces it.
 
-    On any failure or surprise the whole document is parsed once, with
-    `json.load`; that gives any other top-level value, and an error for text
-    that is not JSON, not UTF-8 or nested too deeply for the parser.  Those
-    errors raise SchemaError naming `what`."""
+    Nesting too deep for the parser fails there and then, as `json.load`
+    overflows no later.  On any other failure or surprise the whole document
+    is parsed once, with `json.load`; that gives any other top-level value,
+    and an error for text that is not JSON or not UTF-8.  Those errors raise
+    SchemaError naming `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _stream_json(fh, object_hook)
-    except (ValueError, RecursionError):  # parse the whole document below
+    except RecursionError as exc:
+        raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
+    except ValueError:  # parse the whole document below
         pass
     try:
         with open(path, encoding="utf-8") as fh:

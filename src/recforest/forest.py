@@ -18,9 +18,10 @@ import ctypes
 import logging
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -199,7 +200,8 @@ class _RecCriterion(_SampleSums):
         payloads = np.zeros((Q, self.dim))
         totals = np.full(Q, np.inf)
         if feasible.any():
-            G, h = G[feasible], h[feasible]
+            if not feasible.all():  # else the solver reads the stats uncopied
+                G, h, sq = G[feasible], h[feasible], sq[feasible]
             W, _, converged = solve_gram_batch(G, h)
             if not converged.all():
                 logger.warning(
@@ -210,7 +212,7 @@ class _RecCriterion(_SampleSums):
             totals[feasible] = (
                 np.einsum("ki,ki->k", W, Gw)
                 - 2.0 * np.einsum("ki,ki->k", h, W)
-                + sq[feasible]
+                + sq
             )
             payloads[feasible] = W
         return payloads, totals, feasible, inst
@@ -383,13 +385,19 @@ def _openblas_functions(names):
     return found
 
 
+@cache
+def _blas_setters():
+    """This process's OpenBLAS thread-count setters, looked up once; a forked
+    pool worker inherits them from the process that started the pool."""
+    return _openblas_functions(("scipy_openblas_set_num_threads64_",
+                                "openblas_set_num_threads64_", "openblas_set_num_threads"))
+
+
 def _share(criteria, features):
     """Pool initializer: the criteria and features of this worker's tasks,
     and one BLAS thread, so workers do not oversubscribe the cores."""
     _shared.update(criteria=criteria, features=features)
-    for set_threads in _openblas_functions(("scipy_openblas_set_num_threads64_",
-                                            "openblas_set_num_threads64_",
-                                            "openblas_set_num_threads")):
+    for set_threads in _blas_setters():
         set_threads(1)
 
 
@@ -408,22 +416,26 @@ def _grow_forests(criteria, features, forests, workers):
     workers get the criteria and features once, at start-up; with one chunk
     per forest no pool starts, and a forest grows when it is asked for.
     Forests come back in order, each as soon as its chunks are back,
-    identical for any worker count; closing the generator early cancels
-    the pending tasks.
+    identical for any worker count; a chunk's result is dropped once its
+    trees are read, so only unread results stay here, not all forests.
+    Closing the generator early cancels the pending tasks.
     """
     tasks = [(key, config, rows, chunk.tolist())
              for key, config, rows in forests
              for chunk in np.array_split(np.arange(config.tree_count),
                                          max(1, min(workers, config.tree_count)))]
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
-                               initargs=(criteria, features)) if len(tasks) > len(forests) else None
+    pool = None
+    if len(tasks) > len(forests):
+        _blas_setters()  # looked up before the workers fork, which inherit them
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_share,
+                                   initargs=(criteria, features))
     try:
-        results = [pool.submit(_shared_chunk, *task).result if pool else
-                   partial(_grow_tree, criteria[task[0]], features, *task[1:])
-                   for task in tasks]
+        results = deque(pool.submit(_shared_chunk, *task).result if pool else
+                        partial(_grow_tree, criteria[task[0]], features, *task[1:])
+                        for task in tasks)
         trees = []
-        for (_, config, _, chunk), result in zip(tasks, results):
-            for t, (root, counters) in zip(chunk, result()):
+        for _, config, _, chunk in tasks:
+            for t, (root, counters) in zip(chunk, results.popleft()()):
                 logger.info("tree=%d depth=%d nodes=%d", t, counters["depth"],
                             counters["nodes"])
                 trees.append(root)

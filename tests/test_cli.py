@@ -469,6 +469,22 @@ class TestCompare:
         assert rc == 0
         assert capsys.readouterr().out == from_config
 
+    def test_only_compare_and_class_training_read_metadata(self, tmp_path, capsys):
+        """`predict`, `eval` and `train --method rec` never open metadata.json,
+        so one that `load_metadata` rejects does not stop them."""
+        data = _gen(tmp_path)
+        with open(os.path.join(data, "metadata.json"), "w") as fh:
+            fh.write("{}")
+        forest = _train(tmp_path, data)
+        out = str(tmp_path / "p.json")
+        assert main(["predict", "--forest", forest, "--data", data, "--out", out]) == 0
+        assert main(["eval", "--forest", forest, "--data", data]) == 0
+        capsys.readouterr()
+        for argv in (self._compare(data), ["train", "--data", data, "--out", out,
+                                           "--method", "class", "--trees", "1"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: unsupported formatVersion")
+
     def test_malformed_metadata_fails_cleanly(self, tmp_path, capsys):
         data = _gen(tmp_path)
         path = os.path.join(data, "metadata.json")

@@ -249,6 +249,17 @@ class TestDeepTrees:
         assert 1 in outcomes and "forest too deep to load" in outcomes
         assert outcomes <= {1, "forest too deep to load", "unparseable forest file"}
 
+    def test_overflowing_file_is_parsed_once(self, tmp_path, monkeypatch):
+        """The streamed scan's overflow is the error: no whole-document
+        `json.load` re-parse, which overflows the same way."""
+        real, calls = json.load, []
+        monkeypatch.setattr(json, "load", lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = tmp_path / "deep.json"
+        path.write_text(_chain_text(_CHAINS.stop + 100))
+        with _recursion_headroom(), pytest.raises(SchemaError, match="^unparseable forest"):
+            load_forest(path)
+        assert calls == []
+
     def test_save_raises_value_error(self, tmp_path):
         leaf = Leaf(rating=np.array([1.0, 0.0]), sample_count=1)
         tree, saved, failed = leaf, 0, 0

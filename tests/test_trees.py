@@ -607,6 +607,68 @@ def test_pool_workers_run_one_blas_thread():
             set_threads(count)
 
 
+def test_pool_reuses_the_first_blas_lookup(monkeypatch):
+    """The OpenBLAS setters are looked up once in a process, before its first
+    pool starts; a later pool's forked workers inherit them."""
+    from recforest import forest as module
+
+    ds = random_dataset(np.random.default_rng(55), M=40)
+    config = RecTrainConfig(tree_count=2, max_depth=3, rng_seed=5)
+    expected = train_forest(ds, config, workers=2).trees
+
+    def looked_up_again(names):
+        raise AssertionError("OpenBLAS looked up again")
+
+    monkeypatch.setattr(module, "_openblas_functions", looked_up_again)
+    assert train_forest(ds, config, workers=2).trees == expected
+
+
+def test_pool_forests_are_released_once_read():
+    """`_grow_forests` keeps no pool result once its trees are read: after
+    forest k comes back, every forest before k - 1 is garbage."""
+    import gc
+    import weakref
+
+    from recforest.forest import _grow_forests
+
+    ds = random_dataset(np.random.default_rng(57), M=40)
+    rows = np.arange(ds.sample_count)
+    jobs = [("", RecTrainConfig(tree_count=2, max_depth=3, rng_seed=s), rows)
+            for s in range(5)]
+    refs = []
+    for k, trees in enumerate(_grow_forests({"": _RecCriterion(ds)}, ds.features, jobs, 2)):
+        refs.append([weakref.ref(root) for root in trees])
+        del trees
+        gc.collect()
+        assert all(ref() is None for old in refs[:max(0, k - 1)] for ref in old), k
+    assert len(refs) == len(jobs)
+
+
+def test_all_feasible_fit_batch_solves_the_stats_uncopied(monkeypatch):
+    """With every candidate row feasible, `fit_batch` hands the solver the
+    stats arrays themselves, C-contiguous, so it copies nothing."""
+    from recforest import forest as module
+
+    ds = random_dataset(np.random.default_rng(59), M=40, full_cover=True)
+    criterion = _RecCriterion(ds)
+    idx = np.arange(ds.sample_count)
+    masks = np.arange(ds.sample_count)[None, :] < np.array([[10], [20], [30]])
+    stats = tuple(map(np.concatenate, zip(*(criterion.mask_stats(idx, m)
+                                            for m in (masks, masks[::-1])))))
+    real, seen = module.solve_gram_batch, []
+
+    def spy(G, h):
+        seen.append((G, h))
+        return real(G, h)
+
+    monkeypatch.setattr(module, "solve_gram_batch", spy)
+    _, _, feasible, _ = criterion.fit_batch(stats)
+    assert feasible.all() and len(seen) == 1
+    G, h = seen[0]
+    assert np.shares_memory(G, stats[0]) and np.shares_memory(h, stats[1])
+    assert G.flags.c_contiguous and h.flags.c_contiguous
+
+
 def _train_error(forest, ds):
     from recforest.forest import predict_many
 
