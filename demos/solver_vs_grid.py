@@ -5,13 +5,20 @@ simplex.  The production path is an active-set solver on the Gram form; the
 oracle enumerates every grid point with coordinates in multiples of 0.01.
 The solver should land at or below the oracle's objective every time, a few
 orders of magnitude faster.
+
+The oracle and the stacked-row `solve` front end are test code: they live in
+the repository's `tests/reference_solver.py`, which this demo puts on
+`sys.path`.  The library itself ships only the Gram-form solver.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
 
-from recforest import SimplexProblem, oracle_solve, solve
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from reference_solver import SimplexProblem, oracle_solve, solve  # noqa: E402
 
 rng = np.random.default_rng(0)
 

@@ -49,13 +49,7 @@ from .metrics import (
 )
 from .seeds import derive_seed
 from .serialize import load_forest, save_forest
-from .simplex import (
-    SimplexProblem,
-    SimplexSolution,
-    oracle_solve,
-    project_to_simplex,
-    solve,
-)
+from .simplex import project_to_simplex
 from .synth import (
     GenConfig,
     LatentSample,
@@ -78,8 +72,6 @@ __all__ = [
     "RecTrainConfig",
     "ResponseDataset",
     "SchemaError",
-    "SimplexProblem",
-    "SimplexSolution",
     "Split",
     "SplitParams",
     "accuracy_maximizing_threshold",
@@ -97,7 +89,6 @@ __all__ = [
     "load_forest",
     "load_metadata",
     "metadata_arrays",
-    "oracle_solve",
     "predict",
     "predict_many",
     "predict_posterior_rating_many",
@@ -110,7 +101,6 @@ __all__ = [
     "save_dataset",
     "save_forest",
     "save_metadata",
-    "solve",
     "train_class_forest",
     "train_forest",
     "two_cluster_config",

@@ -16,8 +16,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .classforest import derive_labels, predict_posterior_rating_many, predict_top_vote_many, \
-    train_class_forest
+from .classforest import derive_labels, predict_top_vote_many, train_class_forest
 from .data import (
     _atomic_write,
     _fits,
@@ -196,10 +195,8 @@ def cmd_train(args):
 def _forest_outputs(forest, dataset, selector):
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
-    predict = predict_many
-    if forest.kind == "classification":
-        predict = {"top-vote": predict_top_vote_many,
-                   "posterior-rating": predict_posterior_rating_many}[selector]
+    top_vote = forest.kind == "classification" and selector == "top-vote"
+    predict = predict_top_vote_many if top_vote else predict_many
     return predict(forest, dataset.responses, dataset.features)
 
 

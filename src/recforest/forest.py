@@ -601,6 +601,8 @@ def accuracy_maximizing_threshold(confidences, labels):
 
 def calibrate_gamma(forest: RecForest, dataset: ResponseDataset) -> float:
     """Set forest.gamma to the accuracy-maximizing visibility threshold."""
+    if forest.protocol != dataset.protocol:
+        raise ValueError("forest protocol does not match dataset protocol")
     if dataset.sample_count == 0:
         raise ValueError("validation dataset is empty")
     _, confidence, _ = predict_many(forest, dataset.responses, dataset.features)

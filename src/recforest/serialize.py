@@ -46,9 +46,12 @@ def _node_to_obj(node, rating_key):
 
 
 def save_forest(forest, path) -> None:
-    """Write a forest of either kind to a JSON file."""
+    """Write a forest of either kind to a JSON file.  A `gamma` that
+    `load_forest` would reject is a `ValueError`, and nothing is written."""
     if not isinstance(forest, RecForest):
         raise TypeError("expected RecForest, got %r" % type(forest))
+    if not 0.0 <= forest.gamma <= 1.0:  # NaN fails too
+        raise ValueError("gamma must be in [0, 1]")
     key = _KIND_TO_KEY[forest.kind]
     try:  # both recurse once per tree level
         payload = {

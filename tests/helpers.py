@@ -19,7 +19,6 @@ from recforest.data import (
 )
 from recforest.forest import RecTrainConfig, Split, SplitParams, _grow_levels, _RecCriterion
 from recforest.seeds import derive_seed
-from recforest.simplex import SimplexProblem, solve
 from recforest.synth import (
     CHIN_ANCHOR,
     TOP_ANCHOR,
@@ -27,6 +26,8 @@ from recforest.synth import (
     LatentSample,
     face_template,
 )
+
+from reference_solver import SimplexProblem, solve
 
 
 def random_dataset(rng, M=12, C=3, N=5, full_cover=False):

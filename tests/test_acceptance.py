@@ -30,11 +30,11 @@ from recforest.forest import (
 from recforest.metrics import STRATEGIES, CompareConfig, run_comparison
 from recforest.seeds import derive_seed
 from recforest.serialize import load_forest, save_forest
-from recforest.simplex import SimplexProblem, oracle_solve, solve
 from recforest.synth import generate, metadata_arrays, preset_config, two_cluster_config
 
 from conftest import record_acceptance
 from helpers import random_dataset
+from reference_solver import SimplexProblem, oracle_solve, solve
 from test_trees import _reference_gain
 
 

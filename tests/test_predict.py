@@ -1,5 +1,7 @@
 """Forest inference: rating aggregation, blending, gamma calibration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,15 @@ class TestGammaCalibration:
         _, best_acc = _scan_oracle(conf.ravel(), ds.visible.ravel())
         acc = np.mean((conf >= gamma) == ds.visible)
         assert acc == pytest.approx(best_acc, abs=1e-12)
+
+    def test_calibrate_rejects_another_protocol(self):
+        # same C, N and F, other masks: the parent calibrated 1.0 on it
+        ds, _ = generate(two_cluster_config(sample_count=80, rng_seed=4))
+        forest = train_forest(ds, RecTrainConfig(tree_count=1, max_depth=3, rng_seed=0))
+        other = replace(ds, protocol=ModelProtocol(ds.protocol.masks[::-1]))
+        with pytest.raises(ValueError, match="forest protocol does not match dataset protocol"):
+            calibrate_gamma(forest, other)
+        assert forest.gamma == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,16 @@ class TestRoundTrip:
         with pytest.raises(TypeError):
             save_forest({"not": "a forest"}, tmp_path / "x.json")
 
+    @pytest.mark.parametrize("gamma", [np.nan, 1.5, -0.1], ids=["nan", "above-1", "below-0"])
+    def test_save_writes_only_what_load_reads(self, tmp_path, gamma):
+        # set after construction, which checks it: the parent saved it, and
+        # load_forest then raised SchemaError on the file
+        _, rec, _ = _forests()
+        rec.gamma = gamma
+        with pytest.raises(ValueError, match="gamma"):
+            save_forest(rec, tmp_path / "rec.json")
+        assert list(tmp_path.iterdir()) == []  # no file, no temporary either
+
 
 def _valid_doc():
     return {

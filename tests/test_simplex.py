@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from recforest.simplex import (
-    SimplexProblem,
-    oracle_solve,
-    project_to_simplex,
-    solve,
-    solve_gram_batch,
-)
+from recforest.simplex import project_to_simplex, solve_gram_batch
+
+from reference_solver import SimplexProblem, oracle_solve, solve
 
 
 def random_problem(rng, max_rows=8, max_models=5, scale=1.0):

@@ -21,7 +21,6 @@ from recforest.forest import (
     train_forest,
 )
 from recforest.seeds import derive_seed
-from recforest.simplex import SimplexProblem, oracle_solve, solve
 from recforest.synth import generate, metadata_arrays, two_cluster_config
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     subset_rows,
     train_tree,
 )
+from reference_solver import SimplexProblem, oracle_solve, solve
 
 
 def tiny_dataset(responses, ground_truth, visible, masks, features=None):
