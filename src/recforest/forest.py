@@ -164,56 +164,49 @@ class _SampleSums:
 class _RecCriterion(_SampleSums):
     """Per-sample sufficient statistics for the blended-residual cost.
 
-    For sample m, over its visible landmarks: P[m] = sum x_c.x_e,
-    lin[m] = sum x_c.y, sq[m] = sum |y|^2, inst[m] = visible count.  A node's
-    simplex problem in Gram form is just the sum of these over its subset;
-    with the four side by side in one `table` row per sample, candidate
-    children cost one matrix product instead of a re-stacking of rows.
+    A rating w sums to one, so sum_c w_c x_c - y = sum_c w_c (x_c - y).  For
+    sample m, over its visible landmarks: E[m] = sum (x_c - y).(x_e - y), the
+    error Gram, and inst[m] = visible count.  A node's cost at w is w'Ew with
+    E summed over its subset: a sum of squares, with no cancellation at
+    pixel-scale coordinates.  With both side by side in one `table` row per
+    sample, candidate children cost one matrix product.
     """
 
     def __init__(self, dataset: ResponseDataset):
-        resp = dataset.responses
         vis = dataset.visible
         gt0 = np.where(vis[:, :, None], dataset.ground_truth, 0.0)
-        masked = resp * vis[:, None, :, None]
+        err = dataset.responses - gt0[:, None]
+        err *= vis[:, None, :, None]
         self.dim = C = dataset.model_count
-        self.table = np.empty((dataset.sample_count, C * C + C + 2))
-        # P, lin, sq and inst are column views: the einsums fill the table
-        self.P, self.lin, self.sq, self.inst, _ = self._stats(self.table, None)
-        np.einsum("mcnd,mend->mce", masked, resp, out=self.P)
-        np.einsum("mcnd,mnd->mc", resp, gt0, out=self.lin)
-        np.einsum("mnd,mnd->m", gt0, gt0, out=self.sq)
+        self.table = np.empty((dataset.sample_count, C * C + 1))
+        # E and inst are column views: the einsum and the sum fill the table
+        self.E, self.inst, _ = self._stats(self.table, None)
+        np.einsum("mcnd,mend->mce", err, err, out=self.E)
         vis.sum(axis=1, out=self.inst)
 
     def _stats(self, sums, n):
-        """(G, h, sq, inst, n): views of the P, lin, sq and inst columns."""
+        """(E, inst, n): views of the E and inst columns."""
         C = self.dim
-        return (sums[:, :C * C].reshape(-1, C, C), sums[:, C * C:C * C + C],
-                sums[:, -2], sums[:, -1], n)
+        return sums[:, :C * C].reshape(-1, C, C), sums[:, -1], n
 
     def fit_batch(self, stats):
         """(payloads, total costs, feasible, weights) per row; weight = inst,
-        total = mean cost * weight; an unconverged row keeps its best iterate."""
-        G, h, sq, inst, n = stats
+        total = w'Ew at the fitted rating w; an unconverged row keeps its best iterate."""
+        E, inst, n = stats
         Q = n.shape[0]
         feasible = (n >= 1) & (inst >= 1)
         payloads = np.zeros((Q, self.dim))
         totals = np.full(Q, np.inf)
         if feasible.any():
-            if not feasible.all():  # else the solver reads the stats uncopied
-                G, h, sq = G[feasible], h[feasible], sq[feasible]
-            W, _, converged = solve_gram_batch(G, h)
+            if not feasible.all():  # else the solver reads E uncopied
+                E = E[feasible]
+            W, _, converged = solve_gram_batch(E, np.zeros((E.shape[0], self.dim)))
             if not converged.all():
                 logger.warning(
                     "simplex solver did not converge on %d of %d rows; "
                     "using the best iterate", int((~converged).sum()), converged.size,
                 )
-            Gw = np.einsum("kij,kj->ki", G, W)
-            totals[feasible] = (
-                np.einsum("ki,ki->k", W, Gw)
-                - 2.0 * np.einsum("ki,ki->k", h, W)
-                + sq
-            )
+            totals[feasible] = np.einsum("ki,ki->k", W, np.einsum("kij,kj->ki", E, W))
             payloads[feasible] = W
         return payloads, totals, feasible, inst
 

@@ -19,7 +19,6 @@ from recforest.classforest import (
 )
 from recforest.cli import main
 from recforest.forest import (
-    Leaf,
     RecTrainConfig,
     Split,
     accuracy_maximizing_threshold,
@@ -35,7 +34,7 @@ from recforest.synth import generate, metadata_arrays, preset_config, two_cluste
 from conftest import record_acceptance
 from helpers import random_dataset
 from reference_solver import SimplexProblem, oracle_solve, solve
-from test_trees import _reference_gain
+from test_trees import _audit_gains
 
 
 def _random_problem(rng):
@@ -96,19 +95,6 @@ def test_criterion_2_simplex_invariants():
     passed = min_w >= -1e-9 and sum_err <= 1e-9
     record_acceptance(2, "simplex invariants", passed)
     assert passed, "min weight %.3e, worst sum error %.3e" % (min_w, sum_err)
-
-
-def _audit_gains(root, subset, ds, report):
-    if isinstance(root, Leaf):
-        return
-    fi, tau = root.params.feature_index, root.params.threshold
-    go_left = ds.features[subset, fi] <= tau
-    left, right = subset[go_left], subset[~go_left]
-    ref = _reference_gain(subset, left, right, ds)
-    report["worst"] = max(report["worst"], abs(root.gain - ref))
-    report["splits"] += 1
-    _audit_gains(root.left, left, ds, report)
-    _audit_gains(root.right, right, ds, report)
 
 
 def test_criterion_3_gain_decomposition():

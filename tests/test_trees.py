@@ -21,7 +21,7 @@ from recforest.forest import (
     train_forest,
 )
 from recforest.seeds import derive_seed
-from recforest.synth import generate, metadata_arrays, two_cluster_config
+from recforest.synth import generate, metadata_arrays, preset_config, two_cluster_config
 
 from helpers import (
     evaluate_split,
@@ -200,6 +200,21 @@ def _reference_gain(subset, left, right, ds):
         counts[name] = count
     k = counts["l"] + counts["r"]
     return costs["p"] - (counts["l"] * costs["l"] + counts["r"] * costs["r"]) / k
+
+
+def _audit_gains(root, subset, ds, report):
+    """Compare every split's gain under `root` with `_reference_gain`;
+    report["worst"] keeps the largest gap, report["splits"] the count."""
+    if isinstance(root, Leaf):
+        return
+    fi, tau = root.params.feature_index, root.params.threshold
+    go_left = ds.features[subset, fi] <= tau
+    left, right = subset[go_left], subset[~go_left]
+    ref = _reference_gain(subset, left, right, ds)
+    report["worst"] = max(report["worst"], abs(root.gain - ref))
+    report["splits"] += 1
+    _audit_gains(root.left, left, ds, report)
+    _audit_gains(root.right, right, ds, report)
 
 
 class TestTrainTree:
@@ -517,7 +532,7 @@ def test_subset_criterion_is_the_full_criterions_rows(draw):
     rows = subset_rows(draw, ds.sample_count)
     full = _RecCriterion(ds)
     part = _RecCriterion(ds.subset(rows))
-    for name in ("P", "lin", "sq", "inst"):
+    for name in ("E", "inst"):
         assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
 
 
@@ -535,13 +550,71 @@ def test_mask_stats_match_direct_sums(draw):
         got = criterion.mask_stats(idx, masks)
         for half, m in ((slice(None, Q), masks), (slice(Q, None), ~masks)):
             w = m.astype(np.float64)
-            for name, stat in zip(("P", "lin", "sq"), got):
-                rows = getattr(criterion, name)[idx]
-                direct = np.einsum("qs,s...->q...", w, rows)
-                scale = np.abs(rows.sum(axis=0)).max()
-                assert np.abs(stat[half] - direct).max() <= 1e-12 * scale, name
-            assert np.array_equal(got[3][half], w @ criterion.inst[idx])
-            assert np.array_equal(got[4][half], m.sum(axis=1))
+            rows = criterion.E[idx]
+            direct = np.einsum("qs,s...->q...", w, rows)
+            scale = np.abs(rows.sum(axis=0)).max()
+            assert np.abs(got[0][half] - direct).max() <= 1e-12 * scale
+            assert np.array_equal(got[1][half], w @ criterion.inst[idx])
+            assert np.array_equal(got[2][half], m.sum(axis=1))
+
+
+# criterion 3's training config, on pixel-scale coordinates
+_AUDIT_CONFIG = RecTrainConfig(tree_count=2, max_depth=4, min_samples_per_leaf=5, rng_seed=13)
+
+
+@pytest.mark.parametrize("offset", [100.0, 1000.0])
+def test_gains_stay_exact_far_from_the_origin(offset, caplog):
+    """Shifting every response and ground-truth point moves no residual, so
+    criterion 3's gain audit must hold at its own bound, and every solver
+    row must converge, however far the points lie from the origin."""
+    ds, _ = generate(preset_config("aflw-like-5view", sample_count=600))
+    moved = replace(ds, responses=ds.responses + offset,
+                    ground_truth=ds.ground_truth + offset)
+    with caplog.at_level(logging.WARNING, logger="recforest.forest"):
+        forest = train_forest(moved, _AUDIT_CONFIG)
+    report = {"worst": 0.0, "splits": 0}
+    for root in forest.trees:
+        _audit_gains(root, np.arange(moved.sample_count), moved, report)
+    assert report["splits"] >= 1 and report["worst"] <= 1e-9, report
+    assert "did not converge" not in caplog.text
+
+
+def _tree_layout(node, shape, ratings):
+    """Preorder (feature, threshold) per split and sample count per leaf into
+    `shape`, and the leaf ratings into `ratings`."""
+    if isinstance(node, Split):
+        shape.append((node.params.feature_index, node.params.threshold))
+        _tree_layout(node.left, shape, ratings)
+        _tree_layout(node.right, shape, ratings)
+    else:
+        shape.append(node.sample_count)
+        ratings.append(node.rating)
+    return shape, ratings
+
+
+def test_rigid_motion_per_sample_keeps_trees_and_ratings():
+    """Rotating and translating a sample's responses and ground truth
+    together keeps every residual's length, so each tree keeps its splits
+    and its leaf ratings up to rounding."""
+    ds, _ = generate(preset_config("aflw-like-5view", sample_count=600))
+    rng = np.random.default_rng(61)
+    angle = rng.uniform(0.0, 2.0 * math.pi, ds.sample_count)
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    shift = rng.uniform(-300.0, 300.0, (ds.sample_count, 2))
+    moved = replace(
+        ds,
+        responses=np.einsum("mij,mcnj->mcni", rot, ds.responses) + shift[:, None, None],
+        ground_truth=np.einsum("mij,mnj->mni", rot, ds.ground_truth) + shift[:, None],
+    )
+    drift = 0.0
+    for still, turned in zip(train_forest(ds, _AUDIT_CONFIG).trees,
+                             train_forest(moved, _AUDIT_CONFIG).trees):
+        shape, ratings = _tree_layout(still, [], [])
+        turned_shape, turned_ratings = _tree_layout(turned, [], [])
+        assert turned_shape == shape
+        drift = max(drift, np.abs(np.array(turned_ratings) - np.array(ratings)).max())
+    assert drift <= 1e-12
 
 
 _TRAIN_AND_SAVE = """
@@ -646,7 +719,7 @@ def test_pool_forests_are_released_once_read():
 
 def test_all_feasible_fit_batch_solves_the_stats_uncopied(monkeypatch):
     """With every candidate row feasible, `fit_batch` hands the solver the
-    stats arrays themselves, C-contiguous, so it copies nothing."""
+    error Grams themselves, C-contiguous, so it copies nothing."""
     from recforest import forest as module
 
     ds = random_dataset(np.random.default_rng(59), M=40, full_cover=True)
@@ -664,9 +737,9 @@ def test_all_feasible_fit_batch_solves_the_stats_uncopied(monkeypatch):
     monkeypatch.setattr(module, "solve_gram_batch", spy)
     _, _, feasible, _ = criterion.fit_batch(stats)
     assert feasible.all() and len(seen) == 1
-    G, h = seen[0]
-    assert np.shares_memory(G, stats[0]) and np.shares_memory(h, stats[1])
-    assert G.flags.c_contiguous and h.flags.c_contiguous
+    G, _ = seen[0]
+    assert np.shares_memory(G, stats[0])
+    assert G.flags.c_contiguous
 
 
 def _train_error(forest, ds):
