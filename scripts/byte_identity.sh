@@ -27,7 +27,10 @@
 # with `separators=(",", ":")`, one value a line and \r\n line breaks; predict
 # and eval (records) with the rec forest under --selector posterior-rating,
 # which a recommendation forest ignores; predict and eval (records) with the
-# rec forest on the M=400 dataset file re-written with sample 0's responses
+# rec forest on the M=400 dataset file re-written as its version-1 document
+# (one object of numbers per sample), so a version-1 file is shown to give
+# the same outputs; predict and eval (records) with the rec forest on that
+# version-1 document with sample 0's responses
 # rounded to JSON integers and one invisible ground-truth pair `null`, so the
 # loader converts those samples from their parsed lists; train class at
 # --workers 2 on a copy of the M=400 data directory without metadata.json,
@@ -40,6 +43,12 @@
 # has a recommendation forest; compare with
 # curve files on a 40-sample gen (seed 3) over 40 folds, leave-one-out, the
 # most folds the sample count allows, at --workers 2.
+#
+# The version-1 documents are built by `v1_doc` below from a dataset file of
+# either format version, so they match between a revision that writes
+# version 1 and one that writes version 2; the dataset files `gen` writes,
+# and their foreign, compact and no-metadata copies, differ between two such
+# revisions.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -57,6 +66,29 @@ echo '{"in_noise": 0.03, "in_cluster_only": true, "cluster_centers": [-40, 0.0, 
     > "$work/gen-config.json"
 echo '{"min_gain": 1e-6, "bootstrap_fraction": 0.7}' > "$work/train-config.json"
 echo '{"val": 0.3}' > "$work/train-val.json"
+v1_doc='import base64, json, sys
+import numpy as np
+
+
+def v1_doc(path):
+    """The version-1 document of a dataset file of format version 1 or 2."""
+    doc = json.load(open(path))
+    if doc["formatVersion"] == 1:
+        return doc
+    counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
+    M, C, N, F = (doc[key] for key in counts)
+    shapes = {"responses": (C, N, 2), "groundTruth": (N, 2), "visible": (N,),
+              "features": (F,), "normalizer": ()}
+    columns = {key: np.concatenate([np.zeros((0,) + shape)] + [
+        np.frombuffer(base64.b64decode(block[key]), "u1" if key == "visible" else "<f8")
+        .reshape((-1,) + shape) for block in doc["blocks"]]).tolist()
+        for key, shape in shapes.items()}
+    columns["visibilitySet"] = [[n for n in range(N) if row[n]] for row in columns.pop("visible")]
+    keys = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")
+    out = {"formatVersion": 1, **{key: doc[key] for key in counts + ("masks",)}}
+    out["samples"] = [dict(zip(keys, values)) for values in zip(*(columns[k] for k in keys))]
+    return out
+'
 
 run_all() {  # run_all SRC_DIR OUT_DIR
     local src=$1 out=$2 w sel
@@ -104,9 +136,17 @@ json.dump(doc, open(sys.argv[2], "w", newline="\r\n"), indent=1, separators=(","
         --out "$out/predict-rec-compact.json" > /dev/null
     cli eval --forest "$out/rec-w1.json" --data "$out/data-compact" \
         --format records --out "$out/eval-rec-compact.json" > "$out/eval-rec-compact.txt"
+    mkdir -p "$out/data-v1"
+    python3 -c "$v1_doc
+json.dump(v1_doc(sys.argv[1]), open(sys.argv[2], 'w'))" \
+        "$out/data/dataset.json" "$out/data-v1/dataset.json"
+    cli predict --forest "$out/rec-w1.json" --data "$out/data-v1" \
+        --out "$out/predict-rec-v1.json" > /dev/null
+    cli eval --forest "$out/rec-w1.json" --data "$out/data-v1" \
+        --format records --out "$out/eval-rec-v1.json" > "$out/eval-rec-v1.txt"
     mkdir -p "$out/data-unpacked"
-    python3 -c 'import json, sys
-doc = json.load(open(sys.argv[1]))
+    python3 -c "$v1_doc"'
+doc = v1_doc(sys.argv[1])
 first = doc["samples"][0]
 first["responses"] = [[[round(v) for v in pair] for pair in rows] for rows in first["responses"]]
 sample = next(s for s in doc["samples"] if len(s["visibilitySet"]) < doc["landmarkCount"])

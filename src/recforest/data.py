@@ -18,6 +18,7 @@ Datasets and protocols are immutable after construction and safe to share
 across workers.
 """
 
+import base64
 import json
 import numbers
 import os
@@ -226,11 +227,15 @@ class Prediction:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file format (versioned JSON; NaN literals mark invisible ground truth)
+# Dataset file format (versioned JSON; version 2 holds the columns' bytes in base64)
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT_VERSION = 1
-_BLOCK = 128  # samples per block in `_write_samples` and `synth.generate`
+DATASET_FORMAT_VERSION = 2
+METADATA_FORMAT_VERSION = 1
+_BLOCK = 128  # samples per dataset block, predictions-file block and `synth.generate` loop
+# a version-2 block's keys, in file order, and the little-endian type of each column's bytes
+_COLUMNS = {"responses": "<f8", "groundTruth": "<f8", "visible": "u1", "features": "<f8",
+            "normalizer": "<f8"}
 
 
 def _atomic_write(path, chunks):
@@ -243,12 +248,12 @@ def _atomic_write(path, chunks):
 
 
 def _write_samples(path, head, sample, sep, tail, count, block):
-    """Write the text `head`, `count` samples joined by `sep`, then `tail`,
-    one block of `_BLOCK` samples at a time.  `sample` is the `json.dumps`
-    text of a sample whose values are all 0.0 or true: slots that
-    `block(rows)` fills with one tuple per sample of the slice `rows`.  A
-    0.0 slot takes a list of ints or a float, written as `json.dumps` writes
-    it; a true slot takes the word true or false."""
+    """Write the predictions file's text: `head`, `count` samples joined by
+    `sep`, then `tail`, one block of `_BLOCK` samples at a time.  `sample` is
+    the `json.dumps` text of a sample whose values are all 0.0 or true: slots
+    that `block(rows)` fills with one tuple per sample of the slice `rows`.
+    A 0.0 slot takes a float, written as `json.dumps` writes it; a true slot
+    takes the word true or false."""
     template = sample.replace("0.0", "%r").replace("true", "%s")
 
     def chunks():
@@ -264,36 +269,27 @@ def _write_samples(path, head, sample, sep, tail, count, block):
 
 
 def save_dataset(dataset: ResponseDataset, path):
-    """Serialize a dataset to a single JSON document.
+    """Serialize a dataset to a JSON document of format version 2: the header,
+    then `blocks`, one object per `_BLOCK` samples mapping each of `_COLUMNS`
+    to the base64 of its little-endian bytes (ground truth NaN outside the
+    visible set), so floats round-trip bit for bit.  One block at a time."""
 
-    Floats round-trip exactly (shortest decimal repr); ground truth outside
-    the visible set is written as NaN.  The bytes are those of one
-    `json.dumps` of the whole document, written `_BLOCK` samples at a time.
-    """
-    C, N, F = dataset.model_count, dataset.landmark_count, dataset.feature_count
-    sample = json.dumps({"responses": np.zeros((C, N, 2)).tolist(),
-                         "groundTruth": np.zeros((N, 2)).tolist(), "visibilitySet": 0.0,
-                         "features": [0.0] * F, "normalizer": 0.0})
-
-    def block(rows):  # the floats before and after each visibility set
+    def block(start):  # the text of the block from sample `start`, after a comma if not first
+        rows = slice(start, start + _BLOCK)
         vis = dataset.visible[rows]
         gt = np.where(vis[..., None], dataset.ground_truth[rows], np.nan)
-        before = np.concatenate([dataset.responses[rows].reshape(len(vis), -1),
-                                 gt.reshape(len(vis), -1)], axis=1).tolist()
-        after = np.concatenate([dataset.features[rows], dataset.normalizer[rows, None]], axis=1)
-        return [(*b, np.flatnonzero(v).tolist(), *a)
-                for b, v, a in zip(before, vis, after.tolist())]
+        arrays = (dataset.responses[rows], gt, vis, dataset.features[rows],
+                  dataset.normalizer[rows])
+        return ", " * bool(start) + json.dumps({
+            key: base64.b64encode(np.asarray(a, dtype).tobytes()).decode()
+            for (key, dtype), a in zip(_COLUMNS.items(), arrays)})
 
-    head = json.dumps({
-        "formatVersion": DATASET_FORMAT_VERSION,
-        "sampleCount": dataset.sample_count,
-        "modelCount": C,
-        "landmarkCount": N,
-        "featureCount": F,
-        "masks": dataset.protocol.masks.astype(int).tolist(),
-        "samples": [],
-    })[:-2]  # up to the opening `[` of the samples
-    _write_samples(path, head, sample, ", ", "]}", dataset.sample_count, block)
+    head = json.dumps({  # up to the opening `[` of the blocks
+        "formatVersion": DATASET_FORMAT_VERSION, "sampleCount": dataset.sample_count,
+        "modelCount": dataset.model_count, "landmarkCount": dataset.landmark_count,
+        "featureCount": dataset.feature_count,
+        "masks": dataset.protocol.masks.astype(int).tolist(), "blocks": []})[:-2]
+    _atomic_write(path, chain([head], map(block, range(0, dataset.sample_count, _BLOCK)), ["]}"]))
 
 
 def _require(cond, message):
@@ -509,34 +505,66 @@ def _read_protocol(masks) -> ModelProtocol:
     return ModelProtocol(np.array(masks, dtype=bool))
 
 
+def _read_blocks(blocks, M, shapes):
+    """The `_COLUMNS` arrays, of `shapes` and `M` rows in all, of a version-2
+    file's `blocks`.  Each string is popped from its block as it is decoded."""
+    parts, total = [[] for _ in _COLUMNS], 0
+    for b, block in enumerate(blocks):
+        _require(isinstance(block, dict) and block.keys() == _COLUMNS.keys()
+                 and all(isinstance(text, str) for text in block.values()),
+                 "block %d must map exactly the keys %s to strings" % (b, ", ".join(_COLUMNS)))
+        rows = set()
+        for (key, dtype), shape, part in zip(_COLUMNS.items(), shapes, parts):
+            try:
+                part.append(base64.b64decode(block.pop(key), validate=True))
+            except ValueError as exc:  # binascii.Error, or a character outside ASCII
+                raise SchemaError("block %d: %s is not base64: %s" % (b, key, exc)) from None
+            n, extra = divmod(len(part[-1]), np.dtype((dtype, shape)).itemsize)
+            _require(not extra, "block %d: %s is not a whole number of rows" % (b, key))
+            rows.add(n)
+        _require(len(rows) == 1, "block %d: columns hold different row counts" % b)
+        total += rows.pop()
+    _require(total == M, "sampleCount header disagrees with block rows: %d != %d" % (M, total))
+    columns = [np.frombuffer(b"".join(part), dtype).reshape((M,) + shape)
+               for dtype, shape, part in zip(_COLUMNS.values(), shapes, parts)]
+    _require(not (columns[2] > 1).any(), "visible bytes must be 0 or 1")
+    return columns
+
+
 def load_dataset(path) -> ResponseDataset:
     """Load and validate a dataset file, naming the first violated invariant.
 
-    Counts, `masks` entries and `visibilitySet` indices must be JSON integers,
-    and numeric array entries JSON numbers or `null` (NaN), never strings or
-    booleans.  `ResponseDataset` checks the values (finiteness, normalizer).
-    Each sample's numeric lists become arrays as soon as it is parsed; the
-    arrays and messages are those of converting the whole document at once.
+    Counts and `masks` entries must be JSON integers.  Version 2: each block
+    maps the `_COLUMNS` to base64 strings of whole rows, `sampleCount` rows in
+    all, `visible` bytes 0 or 1.  Version 1: `visibilitySet` indices are JSON
+    integers, numeric array entries JSON numbers or `null` (NaN); each
+    sample's lists become arrays as soon as it is parsed, with the arrays and
+    messages of converting the whole document at once.  `ResponseDataset`
+    checks the values (finiteness, normalizer).
     """
     doc = _read_json(path, "dataset file", object_hook=_pack_sample)
     _require(isinstance(doc, dict), "dataset document must be an object")
-    _require(_fits(doc.get("formatVersion"), int)
-             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
-             "unsupported formatVersion: %r" % (_unpacked(doc.get("formatVersion")),))
+    version = doc.get("formatVersion")
+    _require(_fits(version, int) and version in (1, DATASET_FORMAT_VERSION),
+             "unsupported formatVersion: %r" % (_unpacked(version),))
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
-    for key in counts + ("masks", "samples"):
+    rows_key = "samples" if version == 1 else "blocks"
+    for key in counts + ("masks", rows_key):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
         _require(_fits(doc[key], int) and doc[key] >= 0,
                  "%s must be a nonnegative integer: %r" % (key, _unpacked(doc[key])))
     M, C, N, F = (doc[k] for k in counts)
-    samples = doc["samples"]
-    _require(isinstance(samples, list), "samples must be a list")
+    samples = doc[rows_key]
+    _require(isinstance(samples, list), "%s must be a list" % rows_key)
     protocol = _read_protocol(doc["masks"])
     _require(protocol.masks.shape == (C, N), "masks shape does not match header C, N")
     _require(protocol.feature_count == F,
              "featureCount header disagrees with masks: %d != %d"
              % (F, protocol.feature_count))
+    if version == 2:
+        shapes = [(C, N, 2), (N, 2), (N,), (F,), ()]
+        return ResponseDataset(protocol, *_read_blocks(samples, M, shapes))
     _require(len(samples) == M,
              "sampleCount header disagrees with record count: %d != %d"
              % (M, len(samples)))
@@ -592,7 +620,7 @@ def save_metadata(yaw, cluster_id, path, cluster_centers=None):
         if values is not None and not (values.ndim == 1 and np.isfinite(values).all()):
             raise ValueError("%s must list finite numbers" % name)
     doc = {
-        "formatVersion": DATASET_FORMAT_VERSION,
+        "formatVersion": METADATA_FORMAT_VERSION,
         "yaw": yaw.tolist(),
         "clusterId": cluster_id.astype(np.int64).tolist(),
     }
@@ -606,7 +634,7 @@ def load_metadata(path):
     doc = _read_json(path, "metadata file")
     _require(isinstance(doc, dict), "metadata document must be an object")
     _require(_fits(doc.get("formatVersion"), int)
-             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
+             and doc["formatVersion"] == METADATA_FORMAT_VERSION,
              "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
     yaw, cluster_id = doc.get("yaw"), doc.get("clusterId")
     centers = doc.get("clusterCenters")

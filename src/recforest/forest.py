@@ -526,7 +526,10 @@ def blend_prediction(protocol: ModelProtocol, responses, features, W, gamma):
 
 
 def _check_inputs(forest, responses, features):
-    """Float64 (responses, features), checked against the forest's protocol."""
+    """Float64 (responses, features), checked against the forest's protocol;
+    and the forest's `gamma`, which may have been set after construction."""
+    if not 0.0 <= forest.gamma <= 1.0:  # NaN fails too
+        raise ValueError("gamma must lie in [0, 1]")
     responses = np.asarray(responses, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     proto = forest.protocol

@@ -1,12 +1,12 @@
 """Shared builders for small synthetic fixtures used across test modules."""
 
+import base64
 import json
 import math
 
 import numpy as np
 
 from recforest.data import (
-    DATASET_FORMAT_VERSION,
     ModelProtocol,
     ResponseDataset,
     SchemaError,
@@ -285,7 +285,8 @@ def generate_per_sample(config: GenConfig):
 
 # ---------------------------------------------------------------------------
 # Dataset file, whole document at once: a reference for the block writer, the
-# chunked reader and the per-sample packing reader of `recforest.data`
+# chunked reader, the per-sample packing reader of version 1 and the block
+# reader of version 2 in `recforest.data`
 # ---------------------------------------------------------------------------
 
 def read_json_whole(path, what, object_hook=None):
@@ -298,25 +299,50 @@ def read_json_whole(path, what, object_hook=None):
 
 
 _SAMPLE_KEYS = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")
+_BLOCK_COLUMNS = (("responses", "<f8"), ("groundTruth", "<f8"), ("visible", "u1"),
+                  ("features", "<f8"), ("normalizer", "<f8"))
 
 
-def save_dataset_whole(dataset: ResponseDataset, path):
-    """`data.save_dataset`, building the document as one JSON value."""
-    gt = dataset.ground_truth.copy()
-    gt[~dataset.visible] = np.nan
-    columns = zip(dataset.responses.tolist(), gt.tolist(),
-                  [np.flatnonzero(row).tolist() for row in dataset.visible],
-                  dataset.features.tolist(), dataset.normalizer.tolist())
-    doc = {
-        "formatVersion": DATASET_FORMAT_VERSION,
+def _header(dataset, version):
+    return {
+        "formatVersion": version,
         "sampleCount": dataset.sample_count,
         "modelCount": dataset.model_count,
         "landmarkCount": dataset.landmark_count,
         "featureCount": dataset.feature_count,
         "masks": dataset.protocol.masks.astype(int).tolist(),
-        "samples": [dict(zip(_SAMPLE_KEYS, values)) for values in columns],
     }
+
+
+def _hidden_nan(dataset):
+    gt = dataset.ground_truth.copy()
+    gt[~dataset.visible] = np.nan
+    return gt
+
+
+def save_dataset_whole(dataset: ResponseDataset, path):
+    """The version-1 dataset file, one object of numbers per sample, built as
+    one JSON value: the format `data.save_dataset` wrote before version 2,
+    which `data.load_dataset` still reads."""
+    columns = zip(dataset.responses.tolist(), _hidden_nan(dataset).tolist(),
+                  [np.flatnonzero(row).tolist() for row in dataset.visible],
+                  dataset.features.tolist(), dataset.normalizer.tolist())
+    doc = _header(dataset, 1)
+    doc["samples"] = [dict(zip(_SAMPLE_KEYS, values)) for values in columns]
     _atomic_write(path, [json.dumps(doc)])
+
+
+def dataset_text_v2_whole(dataset: ResponseDataset, block=128):
+    """The text of `data.save_dataset`: one `json.dumps` of the version-2
+    document, each block's columns encoded from whole-array slices."""
+    arrays = (dataset.responses, _hidden_nan(dataset), dataset.visible,
+              dataset.features, dataset.normalizer)
+    doc = _header(dataset, 2)
+    doc["blocks"] = [
+        {key: base64.b64encode(a[start:start + block].astype(dtype).tobytes()).decode("ascii")
+         for (key, dtype), a in zip(_BLOCK_COLUMNS, arrays)}
+        for start in range(0, dataset.sample_count, block)]
+    return json.dumps(doc)
 
 
 def assert_same_dataset(got, want):
@@ -328,28 +354,61 @@ def assert_same_dataset(got, want):
     assert got.protocol == want.protocol
 
 
+def _blocks_whole(blocks, M, C, N, F):
+    """The columns of version-2 `blocks`: each block's strings decoded to
+    arrays on their own, and each column's arrays then concatenated."""
+    shapes = ((C, N, 2), (N, 2), (N,), (F,), ())
+    keys = [key for key, _ in _BLOCK_COLUMNS]
+    per_block = []
+    for b, block in enumerate(blocks):
+        _require(isinstance(block, dict) and sorted(block) == sorted(keys)
+                 and all(type(block[key]) is str for key in keys),
+                 "block %d must map exactly the keys %s to strings" % (b, ", ".join(keys)))
+        arrays = []
+        for (key, dtype), shape in zip(_BLOCK_COLUMNS, shapes):
+            try:
+                raw = base64.b64decode(block[key], validate=True)
+            except ValueError as exc:  # binascii.Error, or text that is not ASCII
+                raise SchemaError("block %d: %s is not base64: %s" % (b, key, exc)) from None
+            row = np.dtype(dtype).itemsize * math.prod(shape)
+            _require(len(raw) % row == 0, "block %d: %s is not a whole number of rows" % (b, key))
+            arrays.append(np.frombuffer(raw, dtype).reshape((-1,) + shape))
+        _require(len({len(a) for a in arrays}) == 1,
+                 "block %d: columns hold different row counts" % b)
+        per_block.append(arrays)
+    total = sum(len(arrays[0]) for arrays in per_block)
+    _require(total == M, "sampleCount header disagrees with block rows: %d != %d" % (M, total))
+    columns = [np.concatenate([arrays[i] for arrays in per_block] + [np.zeros((0,) + shape, dtype)])
+               for i, ((_, dtype), shape) in enumerate(zip(_BLOCK_COLUMNS, shapes))]
+    _require(set(columns[2].ravel().tolist()) <= {0, 1}, "visible bytes must be 0 or 1")
+    return columns
+
+
 def load_dataset_whole(path) -> ResponseDataset:
     """`data.load_dataset`, converting the columns after the whole document
     is parsed."""
     doc = read_json_whole(path, "dataset file")
     _require(isinstance(doc, dict), "dataset document must be an object")
-    _require(_fits(doc.get("formatVersion"), int)
-             and doc["formatVersion"] == DATASET_FORMAT_VERSION,
-             "unsupported formatVersion: %r" % (doc.get("formatVersion"),))
+    version = doc.get("formatVersion")
+    _require(_fits(version, int) and version in (1, 2),
+             "unsupported formatVersion: %r" % (version,))
+    rows_key = "samples" if version == 1 else "blocks"
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
-    for key in counts + ("masks", "samples"):
+    for key in counts + ("masks", rows_key):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
         _require(_fits(doc[key], int) and doc[key] >= 0,
                  "%s must be a nonnegative integer: %r" % (key, doc[key]))
     M, C, N, F = (doc[k] for k in counts)
-    samples = doc["samples"]
-    _require(isinstance(samples, list), "samples must be a list")
+    samples = doc[rows_key]
+    _require(isinstance(samples, list), "%s must be a list" % rows_key)
     protocol = _read_protocol(doc["masks"])
     _require(protocol.masks.shape == (C, N), "masks shape does not match header C, N")
     _require(protocol.feature_count == F,
              "featureCount header disagrees with masks: %d != %d"
              % (F, protocol.feature_count))
+    if version == 2:
+        return ResponseDataset(protocol, *_blocks_whole(samples, M, C, N, F))
     _require(len(samples) == M,
              "sampleCount header disagrees with record count: %d != %d"
              % (M, len(samples)))

@@ -3,17 +3,19 @@
 import argparse
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from recforest import cli
 from recforest.cli import _write_predictions, build_parser, main
 from recforest.data import _BLOCK, load_dataset
 from recforest.forest import predict_many
 from recforest.serialize import load_forest
 
-from helpers import predictions_text_whole
+from helpers import predictions_text_whole, save_dataset_whole
 
 
 def _gen(tmp_path, name="data", extra=()):
@@ -197,6 +199,7 @@ class TestTrain:
     def test_wrong_json_type_fails_cleanly(self, tmp_path, capsys, mutate):
         data = _gen(tmp_path)
         path = os.path.join(data, "dataset.json")
+        save_dataset_whole(load_dataset(path), path)
         doc = json.loads(open(path).read())
         mutate(doc)
         with open(path, "w") as fh:
@@ -207,6 +210,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_malformed_version_2_block_fails_cleanly(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        path = os.path.join(data, "dataset.json")
+        doc = json.loads(open(path).read())
+        doc["blocks"][0]["features"] = "*" + doc["blocks"][0]["features"][1:]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["train", "--data", data, "--out", str(tmp_path / "f.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: block 0: features is not base64: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_val_checked_before_the_data_is_read(self, tmp_path, capsys, source):
@@ -226,7 +242,52 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDatasetVersions:
+    def test_version_1_and_2_give_the_same_outputs(self, tmp_path, monkeypatch, capsys):
+        """At the preset, `train`, `predict` and `eval` read a data directory
+        holding the version-1 document as they read the version-2 file `gen`
+        writes: every output file and every stdout byte for byte."""
+        assert main(["gen", "--out", str(tmp_path / "v2" / "data"), "--seed", "0"]) == 0
+        shutil.copytree(tmp_path / "v2" / "data", tmp_path / "v1" / "data")
+        v1_path = tmp_path / "v1" / "data" / "dataset.json"
+        save_dataset_whole(load_dataset(v1_path), v1_path)
+        assert json.loads(v1_path.read_text())["formatVersion"] == 1
+        outputs = {}
+        for version in ("v1", "v2"):
+            monkeypatch.chdir(tmp_path / version)
+            capsys.readouterr()
+            scoring = ["--forest", "forest.json", "--data", "data"]
+            assert main(["train", "--data", "data", "--out", "forest.json",
+                         "--trees", "3", "--seed", "1"]) == 0
+            assert main(["predict", *scoring, "--out", "predictions.json"]) == 0
+            assert main(["eval", *scoring, "--format", "records", "--out", "eval.json"]) == 0
+            outputs[version] = [capsys.readouterr().out] + [
+                open(name, "rb").read()
+                for name in ("forest.json", "predictions.json", "eval.json")]
+        assert outputs["v1"] == outputs["v2"]
+
+
 class TestPredict:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_gamma_out_of_range_fails_cleanly(self, tmp_path, capsys, monkeypatch, command):
+        """A forest whose `gamma` is set out of range after loading, as a
+        library caller may do, is refused with one `error:` line."""
+        data = _gen(tmp_path)
+        forest_path = _train(tmp_path, data)
+
+        def load_nan_gamma(path):
+            forest = load_forest(path)
+            forest.gamma = float("nan")
+            return forest
+
+        monkeypatch.setattr(cli, "load_forest", load_nan_gamma)
+        capsys.readouterr()
+        out = str(tmp_path / "out.json")
+        assert main([command, "--forest", forest_path, "--data", data, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: gamma must lie in [0, 1]\n"
+        assert captured.out == "" and not os.path.exists(out)
+
     def test_record_file_matches_in_process(self, tmp_path):
         data = _gen(tmp_path)
         forest_path = _train(tmp_path, data)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     assert_same_dataset,
+    dataset_text_v2_whole,
     load_dataset_whole,
     random_dataset,
     save_dataset_whole,
@@ -124,9 +125,10 @@ class TestDatasetRoundTrip:
         path = tmp_path / "d.json"
         save_dataset(ds, path)
         doc = json.loads(path.read_text())
-        assert doc["formatVersion"] == 1
+        assert doc["formatVersion"] == 2
         assert doc["sampleCount"] == 2
-        assert len(doc["samples"]) == 2
+        assert [list(block) for block in doc["blocks"]] == [
+            ["responses", "groundTruth", "visible", "features", "normalizer"]]
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         ds = random_dataset(np.random.default_rng(0), M=2)
@@ -159,35 +161,49 @@ _SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
 
 
 class TestBlockWriterAndPackingReader:
-    """`save_dataset` and `load_dataset` against the whole-document writer
-    and reader of `tests/helpers.py`."""
+    """`save_dataset` and `load_dataset` against the whole-document writers
+    and reader of `tests/helpers.py`; a version-2 file against the version-1
+    document of the same dataset."""
 
     @pytest.mark.parametrize("M, edge", [(M, False) for M in _SIZES] + [(_BLOCK + 2, True)],
                              ids=[str(M) for M in _SIZES] + ["edge-values"])
     def test_bytes_equal_whole_document(self, tmp_path, M, edge):
+        """The block writer's text is one `json.dumps` of the version-2
+        document, and the file loads as the version-1 document does."""
         ds = random_dataset(np.random.default_rng(M), M=M, C=3, N=5)
         if edge:
             ds = _with_edge_values(ds)
         save_dataset(ds, tmp_path / "blocks.json")
-        save_dataset_whole(ds, tmp_path / "whole.json")
-        data = (tmp_path / "blocks.json").read_bytes()
-        assert data == (tmp_path / "whole.json").read_bytes()
-        assert_same_dataset(load_dataset(tmp_path / "blocks.json"),
-                            load_dataset_whole(tmp_path / "whole.json"))
+        save_dataset_whole(ds, tmp_path / "v1.json")
+        assert (tmp_path / "blocks.json").read_text() == dataset_text_v2_whole(ds)
+        want = load_dataset_whole(tmp_path / "v1.json")
+        assert_same_dataset(load_dataset(tmp_path / "blocks.json"), want)
+        assert_same_dataset(load_dataset(tmp_path / "v1.json"), want)
+        assert_same_dataset(load_dataset_whole(tmp_path / "blocks.json"), want)
 
     def test_preset_bytes_and_arrays(self, tmp_path, preset_dataset):
         save_dataset(preset_dataset, tmp_path / "blocks.json")
-        save_dataset_whole(preset_dataset, tmp_path / "whole.json")
-        assert ((tmp_path / "blocks.json").read_bytes()
-                == (tmp_path / "whole.json").read_bytes())
+        save_dataset_whole(preset_dataset, tmp_path / "v1.json")
+        assert (tmp_path / "blocks.json").read_text() == dataset_text_v2_whole(preset_dataset)
         back = load_dataset(tmp_path / "blocks.json")
-        assert_same_dataset(back, load_dataset_whole(tmp_path / "blocks.json"))
+        assert_same_dataset(back, load_dataset_whole(tmp_path / "v1.json"))
         assert np.array_equal(back.responses, preset_dataset.responses)
+
+    def test_version_2_foreign_layout_loads_equal(self, tmp_path):
+        """Indented, with the blocks before the header."""
+        ds = random_dataset(np.random.default_rng(8), M=_BLOCK + 3)
+        save_dataset(ds, tmp_path / "d.json")
+        doc = json.loads((tmp_path / "d.json").read_text())
+        (tmp_path / "foreign.json").write_text(
+            json.dumps(dict(reversed(doc.items())), indent=2))
+        assert list(json.loads((tmp_path / "foreign.json").read_text()))[0] == "blocks"
+        assert_same_dataset(load_dataset(tmp_path / "foreign.json"),
+                            load_dataset(tmp_path / "d.json"))
 
     def test_foreign_layout_loads_equal(self, tmp_path):
         """Indented, with the samples before the header."""
         ds = random_dataset(np.random.default_rng(8), M=_BLOCK + 3)
-        save_dataset(ds, tmp_path / "d.json")
+        save_dataset_whole(ds, tmp_path / "d.json")
         doc = json.loads((tmp_path / "d.json").read_text())
         (tmp_path / "foreign.json").write_text(
             json.dumps(dict(reversed(doc.items())), indent=2))
@@ -229,7 +245,7 @@ class TestBlockWriterAndPackingReader:
         """Values the hook leaves as parsed, and arrays it packed outside a
         sample, give the whole-document reader's arrays or message."""
         ds = random_dataset(np.random.default_rng(5), M=3)
-        save_dataset(ds, tmp_path / "d.json")
+        save_dataset_whole(ds, tmp_path / "d.json")
         doc = json.loads((tmp_path / "d.json").read_text())
         mutate(doc)
         (tmp_path / "d.json").write_text(json.dumps(doc))
@@ -258,6 +274,22 @@ class TestBlockWriterAndPackingReader:
         assert peaks[0] <= 12.0, "save_dataset peak %.1f MB" % peaks[0]
         assert peaks[1] <= 22.0, "load_dataset peak %.1f MB" % peaks[1]
 
+    def test_version_2_peak_memory_at_preset(self, tmp_path, preset_dataset):
+        """Format version 2 lowers both peaks below those of version 1 here,
+        1.8 and 8.6 MB: about 0.8 and 7.2 MB."""
+        path = tmp_path / "d.json"
+        peaks = []
+        for call in (lambda: save_dataset(preset_dataset, path),
+                     lambda: load_dataset(path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.8, "save_dataset peak %.2f MB" % peaks[0]
+        assert peaks[1] <= 8.6, "load_dataset peak %.2f MB" % peaks[1]
+
     def test_training_peak_memory_at_preset(self, preset_dataset):
         """Tree growth holds one group of a level's nodes at a time: fitting
         a whole level at once peaks near 12 MB here, groups of 32 nodes near
@@ -272,11 +304,11 @@ class TestBlockWriterAndPackingReader:
         assert peak <= 3.0, "train_forest peak %.2f MB" % peak
 
     def test_load_never_holds_the_file_text(self, tmp_path, preset_dataset):
-        """The 7.9 MB file is read `_CHUNK` characters at a time: a reader
-        that also holds the whole text, as one `json.load` does, peaks near
-        15 MB here."""
+        """The 7.9 MB version-1 file is read `_CHUNK` characters at a time: a
+        reader that also holds the whole text, as one `json.load` does, peaks
+        near 15 MB here."""
         path = tmp_path / "d.json"
-        save_dataset(preset_dataset, path)
+        save_dataset_whole(preset_dataset, path)
         tracemalloc.start()
         try:
             load_dataset(path)
@@ -290,7 +322,7 @@ class TestDatasetLoadRejections:
     def make_doc(self, tmp_path):
         ds = random_dataset(np.random.default_rng(5), M=3)
         path = tmp_path / "d.json"
-        save_dataset(ds, path)
+        save_dataset_whole(ds, path)
         return json.loads(path.read_text()), path
 
     def write(self, doc, path):

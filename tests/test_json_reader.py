@@ -19,7 +19,14 @@ from recforest.data import SchemaError, _pack_sample, _read_json, load_dataset
 
 from helpers import assert_same_dataset, load_dataset_whole, read_json_whole
 from test_cli_fuzz import compare_documents, gen_documents
-from test_loader_fuzz import FUZZ, JSON_VALUES, _positions, _replaced, dataset_doc  # noqa: F401
+from test_loader_fuzz import (  # noqa: F401
+    FUZZ,
+    JSON_VALUES,
+    _positions,
+    _replaced,
+    dataset_doc,
+    dataset_v2_doc,
+)
 from test_serialize import _valid_doc
 
 CHUNKS = (1, 2, 3, 7)
@@ -79,14 +86,15 @@ def metadata_doc(fuzz_dir):
 
 @FUZZ
 @given(draw=st.data(), value=JSON_VALUES,
-       kind=st.sampled_from(["dataset", "metadata", "forest"]))
-def test_loader_corpus_reads_as_whole_document(fuzz_dir, dataset_doc, metadata_doc,
-                                               draw, value, kind):
-    doc = {"dataset": dataset_doc, "metadata": metadata_doc, "forest": _valid_doc()}[kind]
+       kind=st.sampled_from(["dataset", "dataset-v2", "metadata", "forest"]))
+def test_loader_corpus_reads_as_whole_document(fuzz_dir, dataset_doc, dataset_v2_doc,
+                                               metadata_doc, draw, value, kind):
+    doc = {"dataset": dataset_doc, "dataset-v2": dataset_v2_doc, "metadata": metadata_doc,
+           "forest": _valid_doc()}[kind]
     position = draw.draw(st.sampled_from(list(_positions(doc))))
     path = fuzz_dir / ("%s.json" % kind)
     path.write_text(json.dumps(_replaced(doc, position, value)))
-    if kind != "dataset":
+    if not kind.startswith("dataset"):
         assert_chunked_reads_match(path)
         return
     assert_chunked_reads_match(path, _pack_sample)
@@ -112,11 +120,12 @@ def test_config_documents_read_as_whole_document(fuzz_dir, doc):
     assert_chunked_reads_match(path)
 
 
-def test_valid_documents_need_no_fallback(fuzz_dir, dataset_doc, metadata_doc):
+def test_valid_documents_need_no_fallback(fuzz_dir, dataset_doc, dataset_v2_doc,
+                                          metadata_doc):
     """The whole-document parse is only the error path: the streamed walk
     reads every valid document by itself."""
-    for name, doc in (("dataset", dataset_doc), ("metadata", metadata_doc),
-                      ("forest", _valid_doc())):
+    for name, doc in (("dataset", dataset_doc), ("dataset-v2", dataset_v2_doc),
+                      ("metadata", metadata_doc), ("forest", _valid_doc())):
         path = fuzz_dir / ("plain-%s.json" % name)
         path.write_text(json.dumps(doc))
         for size in CHUNKS:

@@ -264,6 +264,22 @@ class TestGammaCalibration:
             calibrate_gamma(forest, other)
         assert forest.gamma == 0.5
 
+    @pytest.mark.parametrize("gamma", [float("nan"), 1.5, -0.25])
+    def test_prediction_rejects_gamma_set_out_of_range(self, gamma):
+        """A `gamma` set after construction is checked where it is used: NaN
+        or 1.5 would flag every landmark invisible without an error."""
+        ds, _ = generate(two_cluster_config(sample_count=80, rng_seed=4))
+        config = RecTrainConfig(tree_count=1, max_depth=3, rng_seed=0)
+        for forest in (train_forest(ds, config),
+                       train_class_forest(ds, derive_labels(ds), config)):
+            forest.gamma = gamma
+            for predict_fn in (predict_many, predict_top_vote_many,
+                               predict_posterior_rating_many):
+                with pytest.raises(ValueError, match="gamma"):
+                    predict_fn(forest, ds.responses, ds.features)
+            with pytest.raises(ValueError, match="gamma"):
+                predict(forest, ds.responses[0], ds.features[0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy_maximizing_threshold(np.array([]), np.array([], dtype=bool))
