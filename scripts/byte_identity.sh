@@ -9,6 +9,8 @@
 # the two trees with `diff -r`.  Every file a command writes and every
 # command's stdout is compared.  Exits 0 when nothing differs, 1 otherwise.
 # WORKDIR defaults to a new temporary directory and is kept for inspection.
+# After the comparison it prints the line count of each `src/recforest/*.py`
+# module, and their total, at REV and in the working tree.
 #
 # Commands: gen (M=400, seed 5); gen of 257 samples in two clusters at
 # -40/40 with yaw drawn only inside them (--in-cluster-only, seed 9), which
@@ -194,12 +196,24 @@ json.dump(doc, open(sys.argv[2], "w"))' \
         --workers 2 > "$out/compare-loo.txt"
 }
 
+line_counts() {  # line_counts SRC_DIR: "module lines" for each module, sorted
+    (cd "$1/recforest" && for f in *.py; do echo "$f $(wc -l < "$f")"; done | LC_ALL=C sort)
+}
+
 run_all "$work/base/src" "$work/base-out"
 run_all "$repo/src" "$work/head-out"
+status=0
 if diff -r "$work/base-out" "$work/head-out"; then
     echo "byte identity: no difference between $rev and the working tree" \
          "($(find "$work/head-out" -type f | wc -l) files, in $work)"
 else
     echo "byte identity: outputs differ from $rev (see $work)" >&2
-    exit 1
+    status=1
 fi
+echo "lines of src/recforest/*.py (module, $rev, working tree; - where absent):"
+{ LC_ALL=C join -a 1 -a 2 -e - -o 0,1.2,2.2 <(line_counts "$work/base/src") \
+      <(line_counts "$repo/src")
+  echo "total $(cat "$work"/base/src/recforest/*.py | wc -l)" \
+       "$(cat "$repo"/src/recforest/*.py | wc -l)"; } |
+    awk '{printf "  %-16s %6s %6s\n", $1, $2, $3}'
+exit $status

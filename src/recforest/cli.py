@@ -18,21 +18,16 @@ import numpy as np
 
 from .classforest import derive_labels, predict_top_vote_many, train_class_forest
 from .data import (
+    _BLOCK,
     _atomic_write,
     _fits,
     _read_json,
-    _write_samples,
     load_dataset,
     load_metadata,
     save_dataset,
     save_metadata,
 )
-from .forest import (
-    RecTrainConfig,
-    accuracy_maximizing_threshold,
-    predict_many,
-    train_forest,
-)
+from .forest import RecTrainConfig, calibrate_gamma, predict_many, train_forest
 from .metrics import (
     CompareConfig,
     _eval_report,
@@ -172,14 +167,8 @@ def cmd_train(args):
         meta = _load_metadata(args.data)
         labels = derive_labels(dataset, meta[1] if meta is not None else None)
         forest = train_class_forest(fit_ds, labels[fit_idx], config, workers=workers)
-    # a classification forest's posterior-rating output is predict_many's
-    _, conf, _ = predict_many(
-        forest, dataset.responses[val_idx], dataset.features[val_idx]
-    )
-    gamma, accuracy = accuracy_maximizing_threshold(
-        conf.ravel(), dataset.visible[val_idx].ravel()
-    )
-    forest.gamma = gamma
+    # a classification forest is calibrated on its posterior-rating confidences
+    gamma, accuracy = calibrate_gamma(forest, dataset.subset(val_idx))
     save_forest(forest, args.out)
     print(
         "method=%s trees=%d gamma=%r val-visibility-accuracy=%.4f"
@@ -202,24 +191,32 @@ def _forest_outputs(forest, dataset, selector):
 
 def _write_predictions(path, landmarks, confidences, flags):
     """Write the predictions file of `landmarks` (M, N, 2), `confidences`
-    (M, N) and `flags` (M, N) through `data._write_samples`.
-
-    The text is that of `json.dumps(payload, indent=1) + "\\n"` for the
-    payload `{"formatVersion": 1, "sampleCount": M, "samples": [...]}`, one
-    `{"landmarks", "confidences", "flags"}` object per sample."""
+    (M, N) and `flags` (M, N): the text of `json.dumps(payload, indent=1) + "\\n"`
+    for the payload `{"formatVersion": 1, "sampleCount": M, "samples": [...]}`,
+    one `{"landmarks", "confidences", "flags"}` object per sample.  Each block
+    of `_BLOCK` samples fills the `json.dumps` text of a sample of 0.0s and
+    trues: a 0.0 slot takes a float's `%r` (its `json.dumps` text), a true slot
+    the word true or false; a block's nan and inf are then written as
+    `json.dumps` writes them."""
     M, N = flags.shape
-    sample = json.dumps({"landmarks": np.zeros((N, 2)).tolist(), "confidences": [0.0] * N,
-                         "flags": [True] * N}, indent=1).replace("\n", "\n  ")  # a list item
+    template = json.dumps({"landmarks": np.zeros((N, 2)).tolist(), "confidences": [0.0] * N,
+                           "flags": [True] * N}, indent=1).replace("\n", "\n  ")  # a list item
+    template = template.replace("0.0", "%r").replace("true", "%s")
 
-    def block(rows):
-        floats = np.concatenate([landmarks[rows].reshape(-1, 2 * N), confidences[rows]],
-                                axis=1).tolist()
-        words = np.where(flags[rows], "true", "false").tolist()
-        return [(*f, *w) for f, w in zip(floats, words)]
+    def chunks():
+        yield '{\n "formatVersion": 1,\n "sampleCount": %d,\n "samples": [' % M
+        for start in range(0, M, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            # the block's lists live only in the comprehension, not through the join
+            text = ",\n  ".join([template % (*f, *w) for f, w in zip(
+                np.hstack([landmarks[rows].reshape(-1, 2 * N), confidences[rows]]).tolist(),
+                np.where(flags[rows], "true", "false").tolist())])
+            if "nan" in text or "inf" in text:  # no key or true/false word holds either
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield (",\n  " if start else "\n  ") + text
+        yield "\n ]\n}\n" if M else "]\n}\n"
 
-    head = '{\n "formatVersion": 1,\n "sampleCount": %d,\n "samples": [' % M
-    _write_samples(path, head + "\n  " if M else head, sample, ",\n  ",
-                   "\n ]\n}\n" if M else "]\n}\n", M, block)
+    _atomic_write(path, chunks())
 
 
 def cmd_predict(args):

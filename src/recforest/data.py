@@ -247,27 +247,6 @@ def _atomic_write(path, chunks):
     os.replace(tmp, path)
 
 
-def _write_samples(path, head, sample, sep, tail, count, block):
-    """Write the predictions file's text: `head`, `count` samples joined by
-    `sep`, then `tail`, one block of `_BLOCK` samples at a time.  `sample` is
-    the `json.dumps` text of a sample whose values are all 0.0 or true: slots
-    that `block(rows)` fills with one tuple per sample of the slice `rows`.
-    A 0.0 slot takes a float, written as `json.dumps` writes it; a true slot
-    takes the word true or false."""
-    template = sample.replace("0.0", "%r").replace("true", "%s")
-
-    def chunks():
-        yield head
-        for start in range(0, count, _BLOCK):
-            text = sep.join([template % v for v in block(slice(start, start + _BLOCK))])
-            if "nan" in text or "inf" in text:  # no key or true/false word holds either
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            yield (sep if start else "") + text
-        yield tail
-
-    _atomic_write(path, chunks())
-
-
 def save_dataset(dataset: ResponseDataset, path):
     """Serialize a dataset to a JSON document of format version 2: the header,
     then `blocks`, one object per `_BLOCK` samples mapping each of `_COLUMNS`
@@ -394,15 +373,15 @@ class _TextCursor:
         self.expect(close_char)
 
 
-def _stream_json(fh, object_hook=None):
+def _stream_json(fh, element):
     """The JSON object that makes up the whole text of `fh`, read
     `_CHUNK` characters at a time.  It walks the top-level object key by key;
-    each element of a top-level array value is parsed on its own, and read
-    text is dropped as the walk goes on.  A repeated key keeps its first
-    position and takes its last value, as in `json`.  Anything else (a
-    top-level value that is not an object, a byte-order mark, malformed or
-    trailing text) raises."""
-    cursor = _TextCursor(fh, json.JSONDecoder(object_hook=object_hook).scan_once)
+    each element of a top-level array value is parsed on its own, replaced
+    by `element(key, value)` there and then, and read text is dropped as the
+    walk goes on.  A repeated key keeps its first position and takes its
+    last value, as in `json`.  Anything else (a top-level value that is not
+    an object, a byte-order mark, malformed or trailing text) raises."""
+    cursor = _TextCursor(fh, json.JSONDecoder().scan_once)
     doc = {}
     for _ in cursor.members("{", "}"):
         if cursor.peek() != '"':
@@ -410,37 +389,43 @@ def _stream_json(fh, object_hook=None):
         key = cursor.value()
         cursor.expect(":")
         if cursor.peek() == "[":
-            doc[key] = [cursor.value() for _ in cursor.members("[", "]")]
+            doc[key] = [element(key, cursor.value()) for _ in cursor.members("[", "]")]
         else:
             doc[key] = cursor.value()
     if cursor.peek():
         raise ValueError("extra data at %d" % cursor.pos)
-    return doc if object_hook is None else object_hook(doc)
+    return doc
 
 
-def _read_json(path, what, object_hook=None):
+def _read_json(path, what, element=lambda key, value: value):
     """Parse a JSON file whose top-level value is an object, `_CHUNK`
     characters at a time, through `_stream_json`, so the file's text is
-    never held whole.  `object_hook` gets each object as soon as it is
-    parsed, and its result replaces it.
+    never held whole.  Each element of a top-level array is replaced by
+    `element(key, value)` as soon as it is parsed; nothing else is passed
+    to it.
 
     Nesting too deep for the parser fails there and then, as `json.load`
     overflows no later.  On any other failure or surprise the whole document
-    is parsed once, with `json.load`; that gives any other top-level value,
-    and an error for text that is not JSON or not UTF-8.  Those errors raise
-    SchemaError naming `what`."""
+    is parsed once, with `json.load`, and an object's top-level arrays then
+    go through `element` in the same way; that gives any other top-level
+    value, and an error for text that is not JSON or not UTF-8.  Those
+    errors raise SchemaError naming `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _stream_json(fh, object_hook)
+            return _stream_json(fh, element)
     except RecursionError as exc:
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
     except ValueError:  # parse the whole document below
         pass
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+            doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
+    for key, value in doc.items() if isinstance(doc, dict) else ():
+        if isinstance(value, list):
+            doc[key] = [element(key, v) for v in value]
+    return doc
 
 
 def _float_array(value, shape, what):
@@ -467,32 +452,23 @@ def _leaf_types(value, depth):
     return set(map(type, value))
 
 
-def _pack_sample(obj):
-    """`load_dataset`'s object hook: a parsed object's numeric sample fields
-    that hold regular nested lists of JSON floats become float64 arrays, which
-    `.tolist()` turns back into the same lists.  Other values stay as parsed."""
-    for key in ("responses", "groundTruth", "features"):
-        value = obj.get(key)
+def _pack_sample(key, sample):
+    """`load_dataset`'s `element`: a version-1 sample, an object under the
+    top-level `samples`, has its numeric fields that hold regular nested
+    lists of JSON floats made float64 arrays, which `.tolist()` turns back
+    into the same lists.  Every other value stays as parsed."""
+    if key != "samples" or not isinstance(sample, dict):
+        return sample
+    for field in ("responses", "groundTruth", "features"):
+        value = sample.get(field)
         if isinstance(value, list):
             try:
                 arr = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
                 continue
             if _leaf_types(value, arr.ndim) == {float}:
-                obj[key] = arr
-    return obj
-
-
-def _unpacked(value):
-    """A parsed value with every array `_pack_sample` made turned back into
-    its list, as the parser gave it."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _unpacked(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_unpacked(v) for v in value]
-    return value
+                sample[field] = arr
+    return sample
 
 
 def _read_protocol(masks) -> ModelProtocol:
@@ -542,18 +518,18 @@ def load_dataset(path) -> ResponseDataset:
     messages of converting the whole document at once.  `ResponseDataset`
     checks the values (finiteness, normalizer).
     """
-    doc = _read_json(path, "dataset file", object_hook=_pack_sample)
+    doc = _read_json(path, "dataset file", _pack_sample)
     _require(isinstance(doc, dict), "dataset document must be an object")
     version = doc.get("formatVersion")
     _require(_fits(version, int) and version in (1, DATASET_FORMAT_VERSION),
-             "unsupported formatVersion: %r" % (_unpacked(version),))
+             "unsupported formatVersion: %r" % (version,))
     counts = ("sampleCount", "modelCount", "landmarkCount", "featureCount")
     rows_key = "samples" if version == 1 else "blocks"
     for key in counts + ("masks", rows_key):
         _require(key in doc, "missing dataset field: %s" % key)
     for key in counts:
         _require(_fits(doc[key], int) and doc[key] >= 0,
-                 "%s must be a nonnegative integer: %r" % (key, _unpacked(doc[key])))
+                 "%s must be a nonnegative integer: %r" % (key, doc[key]))
     M, C, N, F = (doc[k] for k in counts)
     samples = doc[rows_key]
     _require(isinstance(samples, list), "%s must be a list" % rows_key)
@@ -579,7 +555,7 @@ def load_dataset(path) -> ResponseDataset:
         _require(isinstance(samples[m], dict), "sample %d is not an object" % m)
         _require(isinstance(sets[m], list), "sample %d missing visibilitySet" % m)
         raise SchemaError("sample %d: visibility index out of range: %r"
-                          % (m, _unpacked(next(filterfalse(valid, sets[m])))))
+                          % (m, next(filterfalse(valid, sets[m]))))
     visible = np.zeros((M, N), dtype=bool)
     visible[np.repeat(np.arange(M), [len(vis) for vis in sets]),
             np.fromiter(chain.from_iterable(sets), np.int64)] = True
@@ -589,7 +565,8 @@ def load_dataset(path) -> ResponseDataset:
         if values and all(isinstance(v, np.ndarray) and v.shape == shape
                           for v in values):
             return np.stack(values)
-        return _float_array(_unpacked(values), (M,) + shape, "sample %s" % key)
+        values = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+        return _float_array(values, (M,) + shape, "sample %s" % key)
 
     return ResponseDataset(
         protocol=protocol,
@@ -640,12 +617,9 @@ def load_metadata(path):
     centers = doc.get("clusterCenters")
     _require(_fits(yaw, tuple[float, ...]), "metadata yaw must list finite numbers")
     _require(_fits(cluster_id, tuple[int, ...]), "metadata clusterId must list integers")
-    _require(len(yaw) == len(cluster_id), "metadata arrays malformed")
+    _require(all(-2**63 <= v < 2**63 for v in cluster_id), "metadata clusterId must fit in int64")
+    _require(len(yaw) == len(cluster_id), "metadata yaw and clusterId lengths differ")
     _require(_fits(centers, tuple[float, ...] | None),
-             "metadata cluster_centers must list finite numbers")
-    try:
-        return (np.asarray(yaw, dtype=np.float64),
-                np.asarray(cluster_id, dtype=np.int64),
-                None if centers is None else np.asarray(centers, dtype=np.float64))
-    except OverflowError as exc:
-        raise SchemaError("metadata value out of range: %s" % exc) from exc
+             "metadata clusterCenters must list finite numbers")
+    return (np.asarray(yaw, dtype=np.float64), np.asarray(cluster_id, dtype=np.int64),
+            None if centers is None else np.asarray(centers, dtype=np.float64))

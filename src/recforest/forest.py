@@ -595,13 +595,13 @@ def accuracy_maximizing_threshold(confidences, labels):
     return float(candidates[best]), float(accuracy[best])
 
 
-def calibrate_gamma(forest: RecForest, dataset: ResponseDataset) -> float:
-    """Set forest.gamma to the accuracy-maximizing visibility threshold."""
+def calibrate_gamma(forest: RecForest, dataset: ResponseDataset) -> tuple[float, float]:
+    """Set forest.gamma to the accuracy-maximizing visibility threshold of
+    `predict_many`'s confidences on `dataset`.  Returns (gamma, accuracy)."""
     if forest.protocol != dataset.protocol:
         raise ValueError("forest protocol does not match dataset protocol")
     if dataset.sample_count == 0:
         raise ValueError("validation dataset is empty")
     _, confidence, _ = predict_many(forest, dataset.responses, dataset.features)
-    gamma, _ = accuracy_maximizing_threshold(confidence, dataset.visible)
-    forest.gamma = gamma
-    return gamma
+    forest.gamma, accuracy = accuracy_maximizing_threshold(confidence, dataset.visible)
+    return forest.gamma, accuracy

@@ -113,49 +113,40 @@ def _active_set_batch(G, h, tolerance):
     """Primal active-set pass over a batch; rows it cannot certify are
     flagged for the gradient fallback.
 
-    Round one has every row on its full support: one bordered system over
-    the whole batch, no gather, and a feasible row is optimal (no coordinate
-    is left to add; a NaN gradient fails, as in later rounds).  Only the
-    rows it leaves go round again.  Returns (w, rounds, solved, grad), grad
-    holding each solved row's gradient from the test that finished it.
-    Every row's trajectory depends only on its own (G, h), so results are
-    independent of batch composition.
+    Every row starts at the uniform vector on its full support, and each
+    round solves the bordered system of the rows still active: a feasible
+    solution is kept and tested for optimality (a NaN gradient fails), a row
+    that fails grows its support by its most negative reduced gradient, and
+    an infeasible one steps toward its solution until a coordinate drops.
+    Round one holds every row, so it solves the whole batch ungathered, and
+    a feasible row there is optimal: no coordinate is left to add.  Returns
+    (w, rounds, solved, grad), grad holding each solved row's gradient from
+    the test that finished it.  Every row's trajectory depends only on its
+    own (G, h), so results are independent of batch composition.
     """
     K, C = h.shape
+    w, grad = np.full((K, C), 1.0 / C), np.empty((K, C))  # round one sets every grad row
     supp = np.ones((K, C), dtype=bool)
-    w_eq, _, ok = _eqp_solve(G, h, supp)
-    feas = ok & (_by_row(np.minimum, w_eq) >= -1e-12)
-    w = np.where(feas[:, None], np.clip(w_eq, 0.0, None), 1.0 / C)
-    grad = 2.0 * (np.einsum("kij,kj->ki", G, w) - h)
-    solved = feas & (np.inf >= -tolerance * (1.0 + _by_row(np.maximum, np.abs(grad))))
-    failed, rounds = ~ok, np.ones(K, dtype=np.int64)
-    _ratio_step(w, supp, np.nonzero(ok & ~feas)[0], w_eq[ok & ~feas])
-
-    active = np.nonzero(~solved & ~failed)[0]
-    for _ in range(4 * C + 11):
+    solved, failed = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+    rounds, active = np.zeros(K, dtype=np.int64), np.arange(K)
+    for _ in range(4 * C + 12):
         if active.size == 0:
             break
-        Ga, ha, sa = G[active], h[active], supp[active]
+        at = slice(None) if active.size == K else active  # round one indexes by views
+        Ga, ha, sa = G[at], h[at], supp[at]
         w_eq, nu, ok = _eqp_solve(Ga, ha, sa)
-        rounds[active] += 1
-        failed[active[~ok]] = True
-        feas = _by_row(np.minimum, w_eq) >= -1e-12
-
-        go = ok & feas
-        if go.any():
-            rows = active[go]
-            w_new = np.clip(w_eq[go], 0.0, None)
-            w[rows] = w_new
-            g = 2.0 * (np.einsum("kij,kj->ki", Ga[go], w_new) - ha[go])
-            reduced = np.where(sa[go], np.inf, g + nu[go][:, None])
-            scale = 1.0 + _by_row(np.maximum, np.abs(g))
-            optimal = _by_row(np.minimum, reduced) >= -tolerance * scale
-            solved[rows[optimal]] = True
-            grad[rows[optimal]] = g[optimal]
-            grow = rows[~optimal]
-            if grow.size:
-                supp[grow, np.argmin(reduced[~optimal], axis=1)] = True
-
+        rounds[at] += 1
+        failed[at] |= ~ok
+        feas = ok & (_by_row(np.minimum, w_eq) >= -1e-12)
+        w_new = np.where(feas[:, None], np.clip(w_eq, 0.0, None), w[at])
+        g = 2.0 * (np.einsum("kij,kj->ki", Ga, w_new) - ha)
+        reduced = np.where(sa, np.inf, g + nu[:, None])
+        scale = 1.0 + _by_row(np.maximum, np.abs(g))
+        optimal = feas & (_by_row(np.minimum, reduced) >= -tolerance * scale)
+        w[at], solved[at], grad[at] = w_new, optimal, g  # a row still active is tested again
+        grow = feas & ~optimal
+        if grow.any():
+            supp[active[grow], np.argmin(reduced[grow], axis=1)] = True
         _ratio_step(w, supp, active[ok & ~feas], w_eq[ok & ~feas])
         active = np.nonzero(~solved & ~failed)[0]
 

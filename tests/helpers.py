@@ -289,13 +289,19 @@ def generate_per_sample(config: GenConfig):
 # reader of version 2 in `recforest.data`
 # ---------------------------------------------------------------------------
 
-def read_json_whole(path, what, object_hook=None):
-    """`data._read_json`, parsing the whole document in one `json.load`."""
+def read_json_whole(path, what, element=lambda key, value: value):
+    """`data._read_json`, parsing the whole document in one `json.load` and
+    then passing each element of a top-level array to `element(key, value)`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+            doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError("unparseable %s: %s" % (what, exc)) from exc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if isinstance(value, list):
+                doc[key] = [element(key, v) for v in value]
+    return doc
 
 
 _SAMPLE_KEYS = ("responses", "groundTruth", "visibilitySet", "features", "normalizer")

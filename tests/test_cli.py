@@ -12,10 +12,12 @@ import pytest
 from recforest import cli
 from recforest.cli import _write_predictions, build_parser, main
 from recforest.data import _BLOCK, load_dataset
-from recforest.forest import predict_many
+from recforest.forest import RecTrainConfig, calibrate_gamma, predict_many
+from recforest.metrics import _holdout_split
+from recforest.seeds import derive_seed
 from recforest.serialize import load_forest
 
-from helpers import predictions_text_whole, save_dataset_whole
+from helpers import assert_same_dataset, predictions_text_whole, save_dataset_whole
 
 
 def _gen(tmp_path, name="data", extra=()):
@@ -163,6 +165,31 @@ class TestTrain:
         assert "method=class" in capsys.readouterr().out
         forest = load_forest(forest_path)
         assert forest.kind == "classification"
+
+    @pytest.mark.parametrize("method", ["rec", "class"])
+    def test_calibrates_through_calibrate_gamma(self, tmp_path, capsys, monkeypatch, method):
+        """One `calibrate_gamma` call on the round(0.2 M) held-out rows sets
+        the stored gamma, and the printed line is what it returned."""
+        data = _gen(tmp_path)  # 80 samples
+        calls = []
+
+        def spy(forest, dataset):
+            calls.append((dataset, calibrate_gamma(forest, dataset)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "calibrate_gamma", spy)
+        capsys.readouterr()
+        forest_path = _train(tmp_path, data, extra=("--method", method))
+        assert len(calls) == 1
+        dataset, (gamma, accuracy) = calls[0]
+        full = load_dataset(os.path.join(data, "dataset.json"))
+        rng = np.random.default_rng(derive_seed(RecTrainConfig().rng_seed, "val"))
+        _, val_idx = _holdout_split(np.arange(80), 0.2, rng)
+        assert dataset.sample_count == val_idx.size == round(0.2 * 80)
+        assert_same_dataset(dataset, full.subset(val_idx))
+        line = "gamma=%r val-visibility-accuracy=%.4f\n" % (gamma, accuracy)
+        assert line in capsys.readouterr().out
+        assert load_forest(forest_path).gamma == gamma
 
     def test_same_seed_same_file(self, tmp_path):
         data = _gen(tmp_path)
@@ -566,7 +593,7 @@ class TestCompare:
             ("--pose-noise=nan", "pose_noise_deg"),
             ("--pose-noise=inf", "pose_noise_deg"),
             ("--centers=nan,0,10,20,30", "cluster_centers"),
-            ("metadata", "cluster_centers"),
+            ("metadata", "clusterCenters"),  # the metadata file's own key
         ],
     )
     def test_non_finite_value_fails_cleanly(self, tmp_path, capsys, flag, field):

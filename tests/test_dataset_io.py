@@ -16,6 +16,8 @@ from recforest.data import (
     _BLOCK,
     ResponseDataset,
     SchemaError,
+    _pack_sample,
+    _read_json,
     load_dataset,
     load_metadata,
     save_dataset,
@@ -226,6 +228,8 @@ class TestBlockWriterAndPackingReader:
             lambda d: d["samples"][1]["responses"][1].__setitem__(0, [1.0, 2 ** 1100]),
             lambda d: d["samples"][0].update(features=[{"features": [1.0]}]),
             lambda d: d.update(samples=[]),
+            lambda d: d.update(formatVersion=[{"features": [0.5]}]),
+            lambda d: d.update(masks=[{"responses": [[1.0]]}]),
         ],
         ids=[
             "packable-in-version",
@@ -239,16 +243,22 @@ class TestBlockWriterAndPackingReader:
             "huge-int-response",
             "packed-object-in-features",
             "no-samples",
+            "packable-list-in-version",
+            "packable-list-in-masks",
         ],
     )
     def test_same_result_as_whole_document(self, tmp_path, mutate):
-        """Values the hook leaves as parsed, and arrays it packed outside a
-        sample, give the whole-document reader's arrays or message."""
+        """Values the packing leaves as parsed, in a sample or outside the
+        samples, give the whole-document reader's arrays or message; a
+        top-level list under another key than `samples` is never packed."""
         ds = random_dataset(np.random.default_rng(5), M=3)
         save_dataset_whole(ds, tmp_path / "d.json")
         doc = json.loads((tmp_path / "d.json").read_text())
         mutate(doc)
         (tmp_path / "d.json").write_text(json.dumps(doc))
+        parsed = _read_json(tmp_path / "d.json", "dataset file", _pack_sample)
+        parsed.pop("samples", None)
+        assert json.dumps(parsed) == json.dumps({k: v for k, v in doc.items() if k != "samples"})
         try:
             want = load_dataset_whole(tmp_path / "d.json")
         except SchemaError as exc:
@@ -465,7 +475,7 @@ class TestMetadataSidecar:
         doc = json.loads(path.read_text())
         doc[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=key):
             load_metadata(path)
 
     @pytest.mark.parametrize(
@@ -509,8 +519,8 @@ class TestMetadataSidecar:
         [
             ("yaw", [float("nan"), 0.0, 62.5], "yaw"),
             ("yaw", [-40.0, float("inf"), 62.5], "yaw"),
-            ("clusterCenters", [float("nan"), 40.0], "cluster_centers"),
-            ("clusterCenters", [-40.0, float("-inf")], "cluster_centers"),
+            ("clusterCenters", [float("nan"), 40.0], "clusterCenters"),
+            ("clusterCenters", [-40.0, float("-inf")], "clusterCenters"),
         ],
     )
     def test_non_finite_values_rejected(self, tmp_path, key, value, field):

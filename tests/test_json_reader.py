@@ -53,19 +53,19 @@ def outcome(read, *args):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
-def assert_chunked_reads_match(path, hook=None, chunks=CHUNKS):
+def assert_chunked_reads_match(path, element=lambda key, value: value, chunks=CHUNKS):
     """`_read_json` at each chunk size gives `read_json_whole`'s outcome."""
-    want = outcome(read_json_whole, path, "file", hook)
+    want = outcome(read_json_whole, path, "file", element)
     for size in chunks:
         with mock.patch.object(data, "_CHUNK", size):
-            assert outcome(_read_json, path, "file", hook) == want, size
+            assert outcome(_read_json, path, "file", element) == want, size
     return want
 
 
-def stream(path, hook=None):
+def stream(path, element=lambda key, value: value):
     """`data._stream_json` alone, with no whole-document fallback."""
     with open(path, encoding="utf-8") as fh:
-        return data._stream_json(fh, hook)
+        return data._stream_json(fh, element)
 
 
 # ---------------------------------------------------------------------------

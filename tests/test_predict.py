@@ -248,12 +248,13 @@ class TestGammaCalibration:
         ds, _ = generate(two_cluster_config(sample_count=80, rng_seed=4))
         forest = train_forest(ds, RecTrainConfig(tree_count=1, max_depth=3,
                                                  rng_seed=0))
-        gamma = calibrate_gamma(forest, ds)
+        gamma, accuracy = calibrate_gamma(forest, ds)
         assert forest.gamma == gamma
         _, conf, _ = predict_many(forest, ds.responses, ds.features)
-        _, best_acc = _scan_oracle(conf.ravel(), ds.visible.ravel())
+        best_gamma, best_acc = _scan_oracle(conf.ravel(), ds.visible.ravel())
         acc = np.mean((conf >= gamma) == ds.visible)
         assert acc == pytest.approx(best_acc, abs=1e-12)
+        assert (gamma, accuracy) == (best_gamma, best_acc)
 
     def test_calibrate_rejects_another_protocol(self):
         # same C, N and F, other masks: the parent calibrated 1.0 on it
